@@ -16,6 +16,8 @@ or a requested sharpness target was missed, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import copy
+import itertools
 import json
 import sys
 
@@ -29,16 +31,7 @@ from .groups import parse_group
 from .io import load_config_file, write_reports
 from .norms import default_norm, make_norm
 from .quadrature import QuadratureConfig
-from .reports import (
-    ckn_report,
-    combined_report,
-    hardy_report,
-    higher_order_pair_report,
-    higher_order_report,
-    l2_identity_report,
-    l2_sharp_report,
-    uncertainty_report,
-)
+from .reports import ALIASES, CHECKS, VARIANTS, evaluate
 
 _DEFAULTS = {
     "group": "r:3",
@@ -62,36 +55,27 @@ _DEFAULTS = {
     "quadrature": {},
 }
 
-_KNOWN_CHECKS = (
-    "ckn",
-    "hardy",
-    "up1p",
-    "hpw1",
-    "hpw2",
-    "uncertainty",
-    "higher",
-    "pair",
-    "l2-identity",
-    "l2-sharp",
-    "combined",
-)
+_CHECK_NAMES = (*CHECKS, *ALIASES, *VARIANTS)
+
+# list-valued keys, each with the conversion of one item
+_LISTS = {"p": float, "alpha": float, "beta": float, "theta": float, "k": int, "m": int,
+          "annulus": float, "checks": str.strip}
+_SCALARS = ("group", "norm", "mode", "format", "out", "count", "seed", "radial_fraction",
+            "allow_empty", "timestamp")
 
 
-def _floats(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-def _ints(text):
-    return [int(v) for v in str(text).split(",") if v.strip()]
-
-
-def _strs(text):
-    return [v.strip() for v in str(text).split(",") if v.strip()]
+def _items(value, conv):
+    """A flag or file value as a list: comma-separated text, one value, or a
+    list of either."""
+    out = []
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        out += [conv(s) for s in v.split(",") if s.strip()] if isinstance(v, str) else [conv(v)]
+    return out
 
 
 def _schedule(text):
     out = []
-    for part in _strs(text):
+    for part in _items(text, str.strip):
         eps, _, r_out = part.partition(":")
         if not r_out:
             raise ConfigError(f"bad schedule entry {part!r} (want eps:r_out)")
@@ -123,7 +107,7 @@ def build_parser():
     p_verify = subs.add_parser("verify", help="run inequality checks over a corpus")
     _add_common(p_verify)
     p_verify.add_argument("--check", "--checks", dest="checks",
-                          help="comma list: " + ",".join(_KNOWN_CHECKS))
+                          help="comma list: " + ",".join(_CHECK_NAMES))
     p_verify.add_argument("--p", help="comma list of integrability exponents")
     p_verify.add_argument("--alpha", help="comma list")
     p_verify.add_argument("--beta", help="comma list")
@@ -175,28 +159,29 @@ def build_parser():
 
 
 def _merge(args):
-    cfg = json.loads(json.dumps(_DEFAULTS))  # deep copy
+    """The run config: defaults, then the ``--config`` file, then flags.
+
+    Returns the config and the set of keys the user set, by file or flag.
+    """
+    cfg = copy.deepcopy(_DEFAULTS)
+    given = {}
     if getattr(args, "config", None):
-        file_cfg = load_config_file(args.config)
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        given = load_config_file(args.config)
+        unknown = set(given) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in ("group", "norm", "mode", "format", "out"):
+    for key in (*_LISTS, *_SCALARS):
         v = getattr(args, key, None)
         if v is not None:
-            cfg[key] = v
-    for key, parse in (("p", _floats), ("alpha", _floats), ("beta", _floats),
-                       ("theta", _floats), ("k", _ints), ("m", _ints),
-                       ("annulus", _floats), ("checks", _strs)):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = parse(v)
-    for key in ("count", "seed", "radial_fraction", "allow_empty", "timestamp"):
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
-    quad = dict(cfg.get("quadrature") or {})
+            given[key] = v
+    for key, value in given.items():
+        if key in _LISTS:
+            try:
+                value = _items(value, _LISTS[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"bad value for {key}: {value!r}") from None
+        cfg[key] = value
+    quad = dict(cfg["quadrature"] or {})
     res = getattr(args, "resolution", None)
     if res is not None:
         quad["radial_order"] = res
@@ -206,23 +191,12 @@ def _merge(args):
         if v is not None:
             quad[key] = v
     cfg["quadrature"] = quad
-    # normalize values that may arrive as strings/lists from a file
-    for key, parse in (("p", _floats), ("alpha", _floats), ("beta", _floats),
-                       ("theta", _floats), ("annulus", _floats), ("checks", _strs)):
-        if isinstance(cfg[key], str):
-            cfg[key] = parse(cfg[key])
-        elif isinstance(cfg[key], (list, tuple)):
-            cfg[key] = [x for v in cfg[key] for x in parse(v)] if key == "checks" else [
-                float(v) for v in cfg[key]
-            ]
-    for key in ("k", "m"):
-        cfg[key] = _ints(cfg[key]) if isinstance(cfg[key], str) else [int(v) for v in cfg[key]]
     if not cfg["p"] or not cfg["alpha"] or not cfg["beta"]:
         raise ConfigError("parameter lists must be nonempty")
-    bad = set(cfg["checks"]) - set(_KNOWN_CHECKS)
+    bad = set(cfg["checks"]) - set(_CHECK_NAMES)
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
-    return cfg
+    return cfg, set(given)
 
 
 def _setup(cfg):
@@ -235,82 +209,34 @@ def _setup(cfg):
     return group, norm, quad
 
 
-def _expand_checks(checks):
+def _expand(names):
+    """Requested check names with aliases expanded, first occurrence kept."""
     out = []
-    for c in checks:
-        if c == "uncertainty":
-            out.extend(["up1p", "hpw1", "hpw2"])
-        else:
-            out.append(c)
-    seen = []
-    for c in out:
-        if c not in seen:
-            seen.append(c)
-    return seen
+    for name in names:
+        for check in ALIASES.get(name, (name,)):
+            if check not in out:
+                out.append(check)
+    return out
 
 
-def _grid(check, cfg):
-    """Parameter tuples (as dicts) for one check id."""
-    ps, alphas, betas = cfg["p"], cfg["alpha"], cfg["beta"]
-    thetas, ks, ms = cfg["theta"], cfg["k"], cfg["m"]
-    if check == "ckn":
-        return [{"p": p, "alpha": a, "beta": b} for p in ps for a in alphas for b in betas]
-    if check == "hardy":
-        return [{"p": p, "alpha": a} for p in ps for a in alphas]
-    if check == "up1p":
-        return [{"p": p} for p in ps]
-    if check == "hpw1":
-        return [{"p": p, "alpha": a} for p in ps for a in alphas]
-    if check == "hpw2":
-        return [{"p": p} for p in ps]
-    if check == "higher":
-        return [{"p": p, "theta": t, "k": k} for p in ps for t in thetas for k in ks]
-    if check == "pair":
-        return [
-            {"p": p, "alpha": a, "beta": b, "k": k, "m": m}
-            for p in ps for a in alphas for b in betas for k in ks for m in ms
-        ]
-    if check == "l2-identity":
-        return [{"alpha": a, "k": k} for a in alphas for k in ks]
-    if check == "l2-sharp":
-        return [{"alpha": a, "k": k} for a in alphas for k in ks]
-    if check == "combined":
-        return [
-            {"alpha": a, "beta": b, "k": k, "variant": v}
-            for a in alphas for b in betas for k in ks for v in ("first", "high")
-        ]
-    raise ConfigError(f"unknown check {check!r}")
-
-
-def _dispatch(check, group, norm, f, params, quad, mode):
-    if check == "ckn":
-        return ckn_report(group, norm, f, config=quad, mode=mode, **params)
-    if check == "hardy":
-        return hardy_report(group, norm, f, config=quad, mode=mode, **params)
-    if check in ("up1p", "hpw1", "hpw2"):
-        return uncertainty_report(group, norm, f, variant=check, config=quad, mode=mode, **params)
-    if check == "higher":
-        return higher_order_report(group, norm, f, config=quad, mode=mode, **params)
-    if check == "pair":
-        return higher_order_pair_report(group, norm, f, config=quad, mode=mode, **params)
-    if check == "l2-identity":
-        return l2_identity_report(group, norm, f, config=quad, mode=mode, **params)
-    if check == "l2-sharp":
-        return l2_sharp_report(group, norm, f, config=quad, mode=mode, **params)
-    if check == "combined":
-        return combined_report(group, norm, f, config=quad, mode=mode, **params)
-    raise ConfigError(f"unknown check {check!r}")
+def _points(check, cfg):
+    """``(row id, grid point)`` pairs of one check in sweep order.  A
+    :data:`VARIANTS` name sweeps its rows innermost, as ``variant``."""
+    rows = VARIANTS.get(check, {None: check})
+    axes = CHECKS[next(iter(rows.values()))].axes
+    for values in itertools.product(*(cfg[axis] for axis in axes)):
+        point = dict(zip(axes, values))
+        for variant, row_id in rows.items():
+            yield row_id, point if variant is None else {**point, "variant": variant}
 
 
 def _run_grid(group, norm, fields, checks, cfg, quad, verbose):
     reports, skipped = [], []
     for check in checks:
-        for params in _grid(check, cfg):
+        for row_id, params in _points(check, cfg):
             for f in fields:
                 try:
-                    reports.append(
-                        _dispatch(check, group, norm, f, params, quad, cfg["mode"])
-                    )
+                    reports.append(evaluate(row_id, group, norm, f, params, quad, cfg["mode"]))
                 except (DegenerateConstantError, InvalidParameterError) as exc:
                     skipped.append(
                         {"check": check, "field": f.field_id, "params": params,
@@ -332,7 +258,7 @@ def _emit(text, out):
 
 
 def _cmd_verify(args):
-    cfg = _merge(args)
+    cfg, _ = _merge(args)
     group, norm, quad = _setup(cfg)
     corpus_spec = CorpusSpec(
         count=cfg["count"],
@@ -341,7 +267,7 @@ def _cmd_verify(args):
         radial_fraction=cfg["radial_fraction"],
     )
     fields = make_corpus(group, norm, corpus_spec)
-    checks = _expand_checks(cfg["checks"])
+    checks = _expand(cfg["checks"])
     reports, skipped = _run_grid(group, norm, fields, checks, cfg, quad, args.verbose)
     meta = {
         "command": "verify",
@@ -366,7 +292,7 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
-    cfg = _merge(args)
+    cfg, _ = _merge(args)
     group, norm, quad = _setup(cfg)
     if len(cfg["p"]) != 1 or len(cfg["alpha"]) != 1 or len(cfg["beta"]) != 1:
         raise ConfigError("scan-sharpness takes single p, alpha, beta values")
@@ -410,9 +336,9 @@ def _cmd_scan(args):
 
 
 def _cmd_sigma(args):
-    cfg = _merge(args)
+    cfg, given = _merge(args)
     group, norm, quad = _setup(cfg)
-    annulus = tuple(cfg["annulus"]) if getattr(args, "annulus", None) else (1.0, 2.0)
+    annulus = tuple(cfg["annulus"]) if "annulus" in given else (1.0, 2.0)
     method = args.method or "auto"
     sm = sphere_measure(group, norm, annulus=annulus, config=quad, method=method)
     _emit(json.dumps(sm.to_dict(), indent=2, sort_keys=True) + "\n", cfg["out"])
@@ -422,8 +348,7 @@ def _cmd_sigma(args):
 
 
 def _cmd_identity(args):
-    cfg = _merge(args)
-    cfg["checks"] = ["l2-identity"]
+    cfg, _ = _merge(args)
     group, norm, quad = _setup(cfg)
     corpus_spec = CorpusSpec(
         count=cfg["count"], seed=cfg["seed"], annulus=tuple(cfg["annulus"])
@@ -445,12 +370,11 @@ def _cmd_identity(args):
 
 
 def _cmd_constants(args):
-    cfg = _merge(args)
+    cfg, given = _merge(args)
     group, _, _ = _setup(cfg)
 
     def first(key):
-        vals = cfg[key]
-        return vals[0] if getattr(args, key, None) is not None and vals else None
+        return cfg[key][0] if key in given and cfg[key] else None
 
     q_dim = group.homogeneous_dimension
     table = constant_table(

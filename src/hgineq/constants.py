@@ -10,19 +10,20 @@ of the offending factor.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .errors import DegenerateConstantError, InvalidParameterError
 
 
 def validate_p(p, upper=None):
-    """Require ``1 < p`` finite (and optionally ``p < upper``), else raise."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1.0):
+    """Require a finite real ``p > 1`` (and optionally ``p < upper``), else raise.
+
+    Any real number type passes, numpy scalars included.
+    """
+    if not (isinstance(p, numbers.Real) and math.isfinite(p) and p > 1.0):
         raise InvalidParameterError("p must be a finite number > 1")
     if upper is not None and not p < upper:
         raise InvalidParameterError(f"p must satisfy p < {upper}")
-
-
-_check_p = validate_p
 
 
 def ckn_constant(q_dim, gamma, p):
@@ -31,13 +32,13 @@ def ckn_constant(q_dim, gamma, p):
     Zero (``gamma == Q``) is allowed: the inequality degenerates to the
     trivial statement ``0 <= rhs``.
     """
-    _check_p(p)
+    validate_p(p)
     return abs(q_dim - gamma) / p
 
 
 def hardy_step_constant(q_dim, p, alpha):
     """``p / |Q - p (alpha + 1)|`` — one weighted first-order step."""
-    _check_p(p)
+    validate_p(p)
     d = q_dim - p * (alpha + 1.0)
     if d == 0.0:
         raise DegenerateConstantError(
@@ -66,7 +67,7 @@ def iterated_hardy_constant(q_dim, p, theta, k):
 def ladder_constant_alpha(q_dim, p, alpha, m):
     """``p^m / prod_{j<m} |Q - p(alpha - j)|`` (first factor of the
     two-sided iterated bound); ``m = 0`` gives 1."""
-    _check_p(p)
+    validate_p(p)
     if m < 0:
         raise InvalidParameterError("m must be >= 0")
     out = 1.0
@@ -83,7 +84,7 @@ def ladder_constant_alpha(q_dim, p, alpha, m):
 def ladder_constant_beta(q_dim, p, beta, k):
     """``[p^k / prod_{j<k} |Q - p(beta/(p-1) - j)|]^(p-1)`` (second factor
     of the two-sided iterated bound); ``k = 0`` gives 1."""
-    _check_p(p)
+    validate_p(p)
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
     base = 1.0
@@ -99,7 +100,7 @@ def ladder_constant_beta(q_dim, p, beta, k):
 
 def uncertainty_constant(q_dim, p):
     """``p / (Q - p)`` for the L^2 uncertainty bound; needs ``1 < p < Q``."""
-    _check_p(p, upper=q_dim)
+    validate_p(p, upper=q_dim)
     return p / (q_dim - p)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularPointError, UnsupportedGroupError
+from .errors import InvalidParameterError, UnsupportedGroupError
 
 GROUP_KINDS = ("abelian_isotropic", "abelian_anisotropic", "heisenberg")
 
@@ -216,13 +216,3 @@ def radial_frame_combination(group, x, grad):
     v = np.einsum("j,...j,...ji->...i", w, x, coeff)
     return np.einsum("...i,...i->...", v, np.asarray(grad))
 
-
-def require_nonzero_point(r):
-    """Raise :class:`SingularPointError` if any radius vanishes."""
-    if np.any(np.asarray(r) == 0):
-        raise SingularPointError("operation undefined at the group origin")
-
-
-def homogeneous_dimension(group):
-    """Convenience alias for :attr:`GroupSpec.homogeneous_dimension`."""
-    return group.homogeneous_dimension

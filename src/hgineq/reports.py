@@ -1,15 +1,21 @@
 """Inequality and identity verification reports.
 
-Each ``*_report`` routine evaluates both sides of one functional
-inequality (or exact identity) for a concrete field and returns an
-:class:`InequalityReport`.  Margins are twice the sum of the propagated
-quadrature error estimates plus a floating-point cushion, so ``satisfied``
-means "holds within the numerics", never "holds by fiat".
+Every check is one row of :data:`CHECKS`: a constant from
+:mod:`~hgineq.constants` and two sides, each a sum of terms
+``coefficient * prod norm**exponent`` over weighted norms of the field
+and its radial derivatives.  :func:`evaluate` fills in an
+:class:`InequalityReport` from a row, and one first-order propagator
+turns the norms' quadrature error estimates into the margin: twice the
+propagated error plus a floating-point cushion, so ``satisfied`` means
+"holds within the numerics", never "holds by fiat".  The ``*_report``
+functions are thin wrappers that name a row.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .constants import (
     ladder_constant_alpha,
     ladder_constant_beta,
     uncertainty_constant,
+    validate_p,
 )
 from .errors import InvalidParameterError
 from .quadrature import DEFAULT_CONFIG
@@ -77,94 +84,306 @@ class InequalityReport:
         return abs(self.lhs - self.rhs)
 
 
-def _check_p(p):
-    if not (np.isfinite(p) and p > 1.0):
-        raise InvalidParameterError("p must be a finite number > 1")
+# -- the check table ----------------------------------------------------------
+
+
+class Norm(NamedTuple):
+    """``||R^k f N^-weight||_p``, evaluated by :func:`weighted_lp_norm`."""
+
+    k: int
+    weight: float
+    p: float
+
+
+class Combo(NamedTuple):
+    """``||sum_i c_i R^(k_i) f N^-(a_i)||_2`` over ``terms = ((c_i, k_i, a_i), ...)``,
+    evaluated by :func:`weighted_combo_l2`.  Under a detail key, combos are
+    listed in order (the identity's remainders)."""
+
+    terms: tuple
+
+
+@dataclass
+class Sides:
+    """A check at one parameter point.
+
+    ``lhs`` and ``rhs`` are lists of terms ``(coefficient, factors)``, each
+    factor ``(Norm or Combo, exponent, detail key or None)``; a side's
+    value is ``sum coefficient * prod value**exponent``.
+    """
+
+    constant: float
+    lhs: list
+    rhs: list
+    trivial: bool = False
+    detail: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    ``axes`` are the run-config keys a CLI sweep takes the grid from
+    (outermost first); ``params`` maps a grid point to the params recorded
+    in the report (default: the axes' values); ``sides(Q, **params)``
+    gives the constant and both sides; ``orders`` are the derivative-order
+    params and their least admissible values.
+    """
+
+    id: str
+    axes: tuple
+    sides: Callable
+    kind: str = "inequality"
+    params: Callable = None
+    orders: dict = field(default_factory=dict)
+
+
+def _ckn(q, p, alpha, beta):
+    gamma = alpha + beta + 1.0
+    const = ckn_constant(q, gamma, p)
+    return Sides(
+        const,
+        lhs=[(const, [(Norm(0, gamma / p, p), p, "norm_lhs")])],
+        rhs=[(1.0, [(Norm(1, alpha, p), 1.0, "norm_deriv"),
+                    (Norm(0, beta / (p - 1.0), p), p - 1.0, "norm_dual")])],
+        trivial=gamma == q,
+        detail={"gamma": gamma},
+    )
+
+
+def _hardy(q, p, alpha):
+    const = hardy_step_constant(q, p, alpha)
+    return Sides(
+        const,
+        lhs=[(1.0, [(Norm(0, alpha + 1.0, p), 1.0, None)])],
+        rhs=[(const, [(Norm(1, alpha, p), 1.0, "norm_deriv")])],
+    )
+
+
+def _up1p(q, p):
+    const = uncertainty_constant(q, p)
+    return Sides(
+        const,
+        lhs=[(1.0, [(Norm(0, 0.0, 2.0), 2.0, "norm_l2")])],
+        rhs=[(const, [(Norm(1, 0.0, p), 1.0, "norm_deriv"),
+                      (Norm(0, -1.0, p / (p - 1.0)), 1.0, "norm_moment")])],
+    )
+
+
+def _higher(q, p, theta, k):
+    const = iterated_hardy_constant(q, p, theta, k)
+    return Sides(
+        const,
+        lhs=[(1.0, [(Norm(0, theta + 1.0, p), 1.0, None)])],
+        rhs=[(const, [(Norm(k, theta + 1.0 - k, p), 1.0, "norm_deriv")])],
+    )
+
+
+def _pair(q, p, alpha, beta, k, m):
+    gamma = alpha + beta + 1.0
+    base = ckn_constant(q, gamma, p)
+    const = ladder_constant_alpha(q, p, alpha, m) * ladder_constant_beta(q, p, beta, k)
+    return Sides(
+        const,
+        lhs=[(base, [(Norm(0, gamma / p, p), p, "norm_lhs")])],
+        rhs=[(const, [(Norm(m + 1, alpha - m, p), 1.0, "norm_high"),
+                      (Norm(k, beta / (p - 1.0) - k, p), p - 1.0, "norm_low")])],
+        trivial=gamma == q,
+        detail={"gamma": gamma, "base_constant": base},
+    )
+
+
+def _l2_identity(q, p, alpha, k):
+    # signed partial products prod_{j<l} ((Q-2)/2 - (alpha+j)), l = 0..k
+    partial = [1.0]
+    for j in range(k):
+        partial.append(partial[-1] * (0.5 * (q - 2.0) - (alpha + j)))
+    remainders = [
+        (partial[ell] ** 2, [(Combo(((1.0, k - ell, ell + alpha),
+                                     (0.5 * (q - 2.0 * (ell + 1.0 + alpha)), k - ell - 1,
+                                      ell + 1.0 + alpha))), 2.0, "remainders")])
+        for ell in range(k)
+    ]
+    return Sides(
+        partial[k] ** 2,
+        lhs=[(1.0, [(Norm(k, alpha, 2.0), 2.0, None)])],
+        rhs=[(partial[k] ** 2, [(Norm(0, k + alpha, 2.0), 2.0, "base_norm")])] + remainders,
+        detail={"partial_products": partial},
+    )
+
+
+def _l2_sharp(q, p, alpha, k):
+    if q < 3.0:
+        raise InvalidParameterError("sharp L^2 iterated bound needs Q >= 3")
+    const = l2_iterated_constant(q, alpha, k)
+    return Sides(
+        const,
+        lhs=[(1.0, [(Norm(0, k + alpha, 2.0), 1.0, None)])],
+        rhs=[(const, [(Norm(k, alpha, 2.0), 1.0, "norm_deriv")])],
+    )
+
+
+def _combined(high):
+    """L^2 bounds mixing two derivative orders: ``Rf`` against ``R^k f``, or
+    with ``high`` ``R^(k+1) f`` against ``f`` itself."""
+
+    def sides(q, p, alpha, beta, k):
+        gamma = alpha + beta + 1.0
+        base = ckn_constant(q, gamma, 2.0)
+        if high:
+            const = combined_high_constant(q, alpha, k)
+            norms = (Norm(k + 1, alpha - k, 2.0), Norm(0, beta, 2.0))
+        else:
+            const = combined_first_constant(q, beta, k)
+            norms = (Norm(1, alpha, 2.0), Norm(k, beta - k, 2.0))
+        return Sides(
+            const,
+            lhs=[(base, [(Norm(0, gamma / 2.0, 2.0), 2.0, "norm_lhs")])],
+            rhs=[(const, [(norms[0], 1.0, "norm_high"), (norms[1], 1.0, "norm_low")])],
+            trivial=gamma == q,
+            detail={"gamma": gamma, "base_constant": base},
+        )
+
+    return sides
+
+
+def _at_p2(*axes):
+    return lambda point: {"p": 2.0, **{axis: point[axis] for axis in axes}}
+
+
+CHECKS = {c.id: c for c in (
+    Check("ckn", ("p", "alpha", "beta"), _ckn),
+    Check("hardy", ("p", "alpha"), _hardy),
+    Check("up1p", ("p",), _up1p),
+    Check("hpw1", ("p", "alpha"), _ckn, params=lambda pt: {
+        "p": pt["p"], "alpha": pt["alpha"], "beta": pt["alpha"] * (pt["p"] - 1.0) - 1.0}),
+    Check("hpw2", ("p",), _ckn, params=lambda pt: {
+        "p": pt["p"], "alpha": -pt["p"], "beta": pt["p"] - 1.0}),
+    Check("higher", ("p", "theta", "k"), _higher, orders={"k": 1}),
+    Check("pair", ("p", "alpha", "beta", "k", "m"), _pair, orders={"k": 0, "m": 0}),
+    Check("l2-identity", ("alpha", "k"), _l2_identity, kind="identity",
+          params=_at_p2("alpha", "k"), orders={"k": 1}),
+    Check("l2-sharp", ("alpha", "k"), _l2_sharp, params=_at_p2("alpha", "k"),
+          orders={"k": 1}),
+    Check("combined-first", ("alpha", "beta", "k"), _combined(high=False),
+          params=_at_p2("alpha", "beta", "k"), orders={"k": 1}),
+    Check("combined-high", ("alpha", "beta", "k"), _combined(high=True),
+          params=_at_p2("alpha", "beta", "k"), orders={"k": 1}),
+)}
+
+#: Names that stand for several rows, each swept on its own grid.
+ALIASES = {"uncertainty": ("up1p", "hpw1", "hpw2")}
+
+#: Names swept as one check whose innermost grid axis, ``variant``, picks the row.
+VARIANTS = {"combined": {"first": "combined-first", "high": "combined-high"}}
+
+
+# -- evaluation -----------------------------------------------------------------
 
 
 def _cushion(lhs, rhs):
     return _EPS_CUSHION * (abs(lhs) + abs(rhs) + 1e-300)
 
 
-def _product_pow_margin(b, be, c, ce, p):
-    """Error of ``b * c**(p-1)`` from the errors of ``b`` and ``c``."""
-    if c <= 0:
-        return be * (ce ** (p - 1.0) if ce > 0 else 0.0)
-    return be * c ** (p - 1.0) + b * (p - 1.0) * c ** (p - 2.0) * ce
+def _side(terms):
+    """Value and first-order error of ``sum coef * prod v**e`` over
+    ``terms = [(coef, [(v, err, e), ...]), ...]``.  A factor whose value is
+    0 contributes ``err**e`` in place of its derivative."""
+    value = error = 0.0
+    for coef, factors in terms:
+        term = coef
+        for v, _, e in factors:
+            term *= v**e
+        value += term
+        for i, (v, dv, e) in enumerate(factors):
+            d = coef * (e * v ** (e - 1.0) * dv if v > 0 else dv**e)
+            for j, (w, _, ej) in enumerate(factors):
+                if j != i:
+                    d *= w**ej
+            error += d
+    return value, error
 
 
-def ckn_report(group, norm, f, p, alpha, beta, config=None, mode="auto", check_id="ckn",
-               extra_params=None):
-    """Main weighted inequality: ``(|Q-gamma|/p) ||f N^(-gamma/p)||_p^p <=
-    ||Rf N^(-alpha)||_p * ||f N^(-beta/(p-1))||_p^(p-1)`` with
-    ``gamma = alpha + beta + 1``."""
-    _check_p(p)
+def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
+    """Report for table row ``check_id`` at the parameter ``point`` (a dict
+    holding at least the row's axes; other keys are ignored)."""
+    row = CHECKS[check_id]
+    if "p" in point:
+        validate_p(point["p"])
+    for name, least in row.orders.items():
+        if not isinstance(point[name], numbers.Integral):
+            raise InvalidParameterError(f"{name} must be an integer")
+        if point[name] < least:
+            raise InvalidParameterError(f"{name} must be >= {least}")
+    if row.params is None:
+        params = {axis: point[axis] for axis in row.axes}
+    else:
+        params = row.params(point)
     config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    gamma = alpha + beta + 1.0
-    const = ckn_constant(q_dim, gamma, p)
-    rf = nth_radial_derivative(group, norm, f, 1, mode=mode)
-    a_val, a_err = weighted_lp_norm(group, norm, f, gamma / p, p, config)
-    b_val, b_err = weighted_lp_norm(group, norm, rf, alpha, p, config)
-    c_val, c_err = weighted_lp_norm(group, norm, f, beta / (p - 1.0), p, config)
-    lhs = const * a_val**p
-    rhs = b_val * c_val ** (p - 1.0)
-    d_lhs = const * p * a_val ** (p - 1.0) * a_err if a_val > 0 else const * a_err
-    d_rhs = _product_pow_margin(b_val, b_err, c_val, c_err, p)
-    margin = 2.0 * (d_lhs + d_rhs) + _cushion(lhs, rhs)
-    params = {"p": p, "alpha": alpha, "beta": beta}
-    if extra_params:
-        params.update(extra_params)
+    sides = row.sides(group.homogeneous_dimension, **params)
+
+    factors = [fac for _, facs in sides.lhs + sides.rhs for fac in facs]
+    fields = {}
+    for spec, _, _ in factors:
+        if isinstance(spec, Norm) and spec.k not in fields:
+            fields[spec.k] = nth_radial_derivative(group, norm, f, spec.k, mode=mode)
+    detail = dict(sides.detail)
+
+    def measure(spec, key):
+        if isinstance(spec, Norm):
+            out = weighted_lp_norm(group, norm, fields[spec.k], spec.weight, spec.p, config)
+            if key:
+                detail[key] = out
+        else:
+            out = weighted_combo_l2(group, norm, f, spec.terms, config, mode=mode)
+            if key:
+                detail.setdefault(key, []).append(out)
+        return out
+
+    def measured(side):
+        return [(coef, [(*measure(spec, key), e) for spec, e, key in facs])
+                for coef, facs in side]
+
+    lhs, lhs_err = _side(measured(sides.lhs))
+    rhs, rhs_err = _side(measured(sides.rhs))
+    margin = 2.0 * (lhs_err + rhs_err) + _cushion(lhs, rhs)
+    if row.kind == "identity":
+        satisfied = abs(lhs - rhs) <= margin
+    else:
+        satisfied = lhs <= rhs + margin
     return InequalityReport(
-        check_id=check_id,
+        check_id=row.id,
         group=group.name,
         norm=norm.kind,
         field_id=f.field_id,
-        kind="inequality",
+        kind=row.kind,
         params=params,
-        constant=const,
+        constant=sides.constant,
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        satisfied=lhs <= rhs + margin,
-        trivial=(gamma == q_dim),
+        satisfied=satisfied,
+        trivial=sides.trivial,
         config_digest=config.digest(),
-        detail={
-            "gamma": gamma,
-            "norm_lhs": (a_val, a_err),
-            "norm_deriv": (b_val, b_err),
-            "norm_dual": (c_val, c_err),
-        },
+        detail=detail,
     )
+
+
+# -- named wrappers ---------------------------------------------------------------
+
+
+def ckn_report(group, norm, f, p, alpha, beta, config=None, mode="auto"):
+    """Main weighted inequality: ``(|Q-gamma|/p) ||f N^(-gamma/p)||_p^p <=
+    ||Rf N^(-alpha)||_p * ||f N^(-beta/(p-1))||_p^(p-1)`` with
+    ``gamma = alpha + beta + 1``."""
+    return evaluate("ckn", group, norm, f, {"p": p, "alpha": alpha, "beta": beta},
+                    config, mode)
 
 
 def hardy_report(group, norm, f, p, alpha=0.0, config=None, mode="auto"):
     """Weighted first-order bound: ``||f N^-(alpha+1)||_p <=
     (p/|Q - p(alpha+1)|) ||Rf N^-alpha||_p``."""
-    _check_p(p)
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    const = hardy_step_constant(q_dim, p, alpha)
-    rf = nth_radial_derivative(group, norm, f, 1, mode=mode)
-    lhs, lhs_err = weighted_lp_norm(group, norm, f, alpha + 1.0, p, config)
-    b_val, b_err = weighted_lp_norm(group, norm, rf, alpha, p, config)
-    rhs = const * b_val
-    margin = 2.0 * (lhs_err + const * b_err) + _cushion(lhs, rhs)
-    return InequalityReport(
-        check_id="hardy",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": p, "alpha": alpha},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        config_digest=config.digest(),
-        detail={"norm_deriv": (b_val, b_err)},
-    )
+    return evaluate("hardy", group, norm, f, {"p": p, "alpha": alpha}, config, mode)
 
 
 def uncertainty_report(group, norm, f, p, variant="up1p", alpha=0.0, config=None, mode="auto"):
@@ -175,80 +394,15 @@ def uncertainty_report(group, norm, f, p, variant="up1p", alpha=0.0, config=None
     corollaries of the main inequality (``beta = alpha(p-1) - 1`` and
     ``(alpha, beta) = (-p, p-1)`` respectively).
     """
-    if variant == "hpw1":
-        return ckn_report(
-            group, norm, f, p, alpha, alpha * (p - 1.0) - 1.0, config=config, mode=mode,
-            check_id="hpw1",
-        )
-    if variant == "hpw2":
-        return ckn_report(
-            group, norm, f, p, -p, p - 1.0, config=config, mode=mode, check_id="hpw2"
-        )
-    if variant != "up1p":
+    if variant not in ALIASES["uncertainty"]:
         raise InvalidParameterError(f"unknown uncertainty variant {variant!r}")
-    _check_p(p)
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    const = uncertainty_constant(q_dim, p)
-    rf = nth_radial_derivative(group, norm, f, 1, mode=mode)
-    a_val, a_err = weighted_lp_norm(group, norm, f, 0.0, 2.0, config)
-    b_val, b_err = weighted_lp_norm(group, norm, rf, 0.0, p, config)
-    c_val, c_err = weighted_lp_norm(group, norm, f, -1.0, p / (p - 1.0), config)
-    lhs = a_val**2
-    rhs = const * b_val * c_val
-    margin = 2.0 * (2.0 * a_val * a_err + const * (b_err * c_val + b_val * c_err)) + _cushion(
-        lhs, rhs
-    )
-    return InequalityReport(
-        check_id="up1p",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": p},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        config_digest=config.digest(),
-        detail={
-            "norm_l2": (a_val, a_err),
-            "norm_deriv": (b_val, b_err),
-            "norm_moment": (c_val, c_err),
-        },
-    )
+    return evaluate(variant, group, norm, f, {"p": p, "alpha": alpha}, config, mode)
 
 
 def higher_order_report(group, norm, f, p, theta, k, config=None, mode="auto"):
     """Iterated bound ``||f N^-(theta+1)||_p <= A_(theta,k)
     ||R^k f N^-(theta+1-k)||_p``."""
-    _check_p(p)
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    const = iterated_hardy_constant(q_dim, p, theta, k)
-    rkf = nth_radial_derivative(group, norm, f, k, mode=mode)
-    lhs, lhs_err = weighted_lp_norm(group, norm, f, theta + 1.0, p, config)
-    b_val, b_err = weighted_lp_norm(group, norm, rkf, theta + 1.0 - k, p, config)
-    rhs = const * b_val
-    margin = 2.0 * (lhs_err + const * b_err) + _cushion(lhs, rhs)
-    return InequalityReport(
-        check_id="higher",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": p, "theta": theta, "k": k},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        config_digest=config.digest(),
-        detail={"norm_deriv": (b_val, b_err)},
-    )
+    return evaluate("higher", group, norm, f, {"p": p, "theta": theta, "k": k}, config, mode)
 
 
 def higher_order_pair_report(group, norm, f, p, alpha, beta, k=0, m=0, config=None, mode="auto"):
@@ -257,138 +411,24 @@ def higher_order_pair_report(group, norm, f, p, alpha, beta, k=0, m=0, config=No
 
     ``k = m = 0`` reproduces the main inequality exactly.
     """
-    _check_p(p)
-    if k < 0 or m < 0:
-        raise InvalidParameterError("k and m must be >= 0")
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    gamma = alpha + beta + 1.0
-    base = ckn_constant(q_dim, gamma, p)
-    c_alpha = ladder_constant_alpha(q_dim, p, alpha, m)
-    c_beta = ladder_constant_beta(q_dim, p, beta, k)
-    const = c_alpha * c_beta
-    f_hi = nth_radial_derivative(group, norm, f, m + 1, mode=mode)
-    f_lo = nth_radial_derivative(group, norm, f, k, mode=mode)
-    a_val, a_err = weighted_lp_norm(group, norm, f, gamma / p, p, config)
-    b_val, b_err = weighted_lp_norm(group, norm, f_hi, alpha - m, p, config)
-    c_val, c_err = weighted_lp_norm(group, norm, f_lo, beta / (p - 1.0) - k, p, config)
-    lhs = base * a_val**p
-    rhs = const * b_val * c_val ** (p - 1.0)
-    d_lhs = base * p * a_val ** (p - 1.0) * a_err if a_val > 0 else base * a_err
-    d_rhs = const * _product_pow_margin(b_val, b_err, c_val, c_err, p)
-    margin = 2.0 * (d_lhs + d_rhs) + _cushion(lhs, rhs)
-    return InequalityReport(
-        check_id="pair",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": p, "alpha": alpha, "beta": beta, "k": k, "m": m},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        trivial=(gamma == q_dim),
-        config_digest=config.digest(),
-        detail={
-            "gamma": gamma,
-            "base_constant": base,
-            "norm_lhs": (a_val, a_err),
-            "norm_high": (b_val, b_err),
-            "norm_low": (c_val, c_err),
-        },
-    )
+    point = {"p": p, "alpha": alpha, "beta": beta, "k": k, "m": m}
+    return evaluate("pair", group, norm, f, point, config, mode)
 
 
-def l2_identity_report(group, norm, f, alpha=0.0, k=1, config=None, mode="auto",
-                       extra_rel_margin=0.0):
+def l2_identity_report(group, norm, f, alpha=0.0, k=1, config=None, mode="auto"):
     """Exact L^2 decomposition of ``||R^k f N^-alpha||_2^2``.
 
     The squared norm equals a weighted norm of ``f`` plus an explicit sum
     of nonnegative remainders — an identity, valid for every ``alpha`` and
-    ``k >= 1`` (complex fields included).  ``extra_rel_margin`` widens the
-    tolerance for finite-difference evaluation modes.
+    ``k >= 1`` (complex fields included).
     """
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    # signed partial products prod_{j<l} ((Q-2)/2 - (alpha+j)), l = 0..k
-    partial = [1.0]
-    for j in range(k):
-        partial.append(partial[-1] * (0.5 * (q_dim - 2.0) - (alpha + j)))
-
-    rkf = nth_radial_derivative(group, norm, f, k, mode=mode)
-    lhs_val, lhs_err = weighted_lp_norm(group, norm, rkf, alpha, 2.0, config)
-    lhs = lhs_val**2
-    err_sum = 2.0 * lhs_val * lhs_err
-
-    base_val, base_err = weighted_lp_norm(group, norm, f, k + alpha, 2.0, config)
-    rhs = partial[k] ** 2 * base_val**2
-    err_sum += partial[k] ** 2 * 2.0 * base_val * base_err
-
-    remainders = []
-    for ell in range(k):
-        coeff = 0.5 * (q_dim - 2.0 * (ell + 1.0 + alpha))
-        terms = [(1.0, k - ell, ell + alpha), (coeff, k - ell - 1, ell + 1.0 + alpha)]
-        cb_val, cb_err = weighted_combo_l2(group, norm, f, terms, config, mode=mode)
-        rhs += partial[ell] ** 2 * cb_val**2
-        err_sum += partial[ell] ** 2 * 2.0 * cb_val * cb_err
-        remainders.append((cb_val, cb_err))
-
-    margin = 2.0 * err_sum + _cushion(lhs, rhs) + extra_rel_margin * max(abs(lhs), abs(rhs))
-    return InequalityReport(
-        check_id="l2-identity",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="identity",
-        params={"p": 2.0, "alpha": alpha, "k": k},
-        constant=partial[k] ** 2,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=abs(lhs - rhs) <= margin,
-        config_digest=config.digest(),
-        detail={
-            "partial_products": partial,
-            "base_norm": (base_val, base_err),
-            "remainders": remainders,
-        },
-    )
+    return evaluate("l2-identity", group, norm, f, {"alpha": alpha, "k": k}, config, mode)
 
 
 def l2_sharp_report(group, norm, f, alpha=0.0, k=1, config=None, mode="auto"):
     """Sharp L^2 iterated bound ``||f N^-(k+alpha)||_2 <=
     C ||R^k f N^-alpha||_2`` (needs ``Q >= 3``)."""
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    if q_dim < 3.0:
-        raise InvalidParameterError("sharp L^2 iterated bound needs Q >= 3")
-    const = l2_iterated_constant(q_dim, alpha, k)
-    rkf = nth_radial_derivative(group, norm, f, k, mode=mode)
-    lhs, lhs_err = weighted_lp_norm(group, norm, f, k + alpha, 2.0, config)
-    b_val, b_err = weighted_lp_norm(group, norm, rkf, alpha, 2.0, config)
-    rhs = const * b_val
-    margin = 2.0 * (lhs_err + const * b_err) + _cushion(lhs, rhs)
-    return InequalityReport(
-        check_id="l2-sharp",
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": 2.0, "alpha": alpha, "k": k},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        config_digest=config.digest(),
-        detail={"norm_deriv": (b_val, b_err)},
-    )
+    return evaluate("l2-sharp", group, norm, f, {"alpha": alpha, "k": k}, config, mode)
 
 
 def combined_report(group, norm, f, alpha, beta, k=1, variant="first", config=None, mode="auto"):
@@ -397,53 +437,7 @@ def combined_report(group, norm, f, alpha, beta, k=1, variant="first", config=No
     ``variant="first"`` pairs ``Rf`` with ``R^k f``; ``variant="high"``
     pairs ``R^(k+1) f`` with ``f`` itself.
     """
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    config = config or DEFAULT_CONFIG
-    q_dim = group.homogeneous_dimension
-    gamma = alpha + beta + 1.0
-    base = ckn_constant(q_dim, gamma, 2.0)
-    a_val, a_err = weighted_lp_norm(group, norm, f, gamma / 2.0, 2.0, config)
-    lhs = base * a_val**2
-    d_lhs = base * 2.0 * a_val * a_err
-
-    if variant == "first":
-        const = combined_first_constant(q_dim, beta, k)
-        hi = nth_radial_derivative(group, norm, f, 1, mode=mode)
-        lo = nth_radial_derivative(group, norm, f, k, mode=mode)
-        b_val, b_err = weighted_lp_norm(group, norm, hi, alpha, 2.0, config)
-        c_val, c_err = weighted_lp_norm(group, norm, lo, beta - k, 2.0, config)
-        check_id = "combined-first"
-    elif variant == "high":
-        const = combined_high_constant(q_dim, alpha, k)
-        hi = nth_radial_derivative(group, norm, f, k + 1, mode=mode)
-        b_val, b_err = weighted_lp_norm(group, norm, hi, alpha - k, 2.0, config)
-        c_val, c_err = weighted_lp_norm(group, norm, f, beta, 2.0, config)
-        check_id = "combined-high"
-    else:
+    if variant not in VARIANTS["combined"]:
         raise InvalidParameterError(f"unknown combined variant {variant!r}")
-
-    rhs = const * b_val * c_val
-    margin = 2.0 * (d_lhs + const * (b_err * c_val + b_val * c_err)) + _cushion(lhs, rhs)
-    return InequalityReport(
-        check_id=check_id,
-        group=group.name,
-        norm=norm.kind,
-        field_id=f.field_id,
-        kind="inequality",
-        params={"p": 2.0, "alpha": alpha, "beta": beta, "k": k},
-        constant=const,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        satisfied=lhs <= rhs + margin,
-        trivial=(gamma == q_dim),
-        config_digest=config.digest(),
-        detail={
-            "gamma": gamma,
-            "base_constant": base,
-            "norm_lhs": (a_val, a_err),
-            "norm_high": (b_val, b_err),
-            "norm_low": (c_val, c_err),
-        },
-    )
+    return evaluate(VARIANTS["combined"][variant], group, norm, f,
+                    {"alpha": alpha, "beta": beta, "k": k}, config, mode)

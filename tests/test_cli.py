@@ -1,8 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from hgineq.cli import main
+from hgineq.reports import ALIASES, CHECKS, VARIANTS
 
 
 def run(tmp_path, *argv):
@@ -216,3 +219,68 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "hgineq" in capsys.readouterr().out
+
+
+# each case: subcommand, fixed flags, config key, flag, value
+_CONFIG_CASES = [
+    ("constants", ("--group", "heis1"), "p", "--p", "3"),
+    ("constants", ("--group", "heis1"), "alpha", "--alpha", "1"),
+    ("constants", ("--group", "heis1", "--alpha", "1"), "beta", "--beta", "0.5"),
+    ("constants", ("--group", "heis1", "--k", "2"), "theta", "--theta", "0.5"),
+    ("constants", ("--group", "heis1", "--theta", "0.5"), "k", "--k", "2"),
+    ("constants", ("--group", "heis1", "--alpha", "0.5"), "m", "--m", "2"),
+    ("sphere-measure", ("--group", "r:2", "--resolution", "16"), "annulus", "--annulus", "1,3"),
+    ("sphere-measure", ("--resolution", "16"), "group", "--group", "heis1"),
+    ("identity-check", ("--count", "2"), "alpha", "--alpha", "-1,1"),
+    ("identity-check", ("--count", "2"), "k", "--k", "2"),
+    ("scan-sharpness", ("--schedule", "1e-2:1e2"), "beta", "--beta", "0.5"),
+    ("verify", ("--count", "2"), "checks", "--check", "hardy,up1p"),
+    ("verify", ("--count", "2", "--check", "higher"), "theta", "--theta", "0.25"),
+    ("verify", ("--count", "2", "--check", "pair"), "m", "--m", "1"),
+    ("verify", ("--check", "ckn"), "seed", "--seed", "5"),
+]
+
+
+@pytest.mark.parametrize("command,fixed,key,flag,value", _CONFIG_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in _CONFIG_CASES])
+def test_config_file_and_flag_give_the_same_document(tmp_path, command, fixed, key, flag,
+                                                     value):
+    cfg = tmp_path / "run.json"
+    file_value = int(value) if key == "seed" else value
+    cfg.write_text(json.dumps({key: file_value}))
+    code_flag, by_flag = run(tmp_path, command, *fixed, f"{flag}={value}")
+    code_file, by_file = run(tmp_path, command, *fixed, "--config", str(cfg))
+    assert code_flag == code_file == 0
+    assert by_file == by_flag
+    _, by_default = run(tmp_path, command, *fixed)
+    assert by_default != by_flag  # the key changes the document
+
+
+def _check_names():
+    return (*CHECKS, *ALIASES, *VARIANTS)
+
+
+def _expected_ids(name):
+    if name in ALIASES:
+        return set(ALIASES[name])
+    if name in VARIANTS:
+        return set(VARIANTS[name].values())
+    return {name}
+
+
+@pytest.mark.parametrize("name", _check_names())
+def test_verify_runs_every_check_id(tmp_path, monkeypatch, capsys, name):
+    code, text = run(tmp_path, "verify", "--check", name, "--count", "1")
+    assert code == 0
+    reports = json.loads(text)["reports"]
+    assert reports and all(r["satisfied"] for r in reports)
+    assert {r["check_id"] for r in reports} == _expected_ids(name)
+    # the help text and the README list exactly the table's ids
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    listed = re.search(r"comma list: (\S+)", capsys.readouterr().out).group(1)
+    assert listed.split(",") == list(_check_names())
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = re.search(r"Check ids for `verify --check`:(.*?)\n\n", readme, re.S).group(1)
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == set(_check_names())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from hgineq import (
 
 def test_validate_p():
     validate_p(1.5)
+    validate_p(np.int64(2))  # any real type, numpy scalars included
     for bad in (1.0, 0.5, -2.0, math.inf, math.nan, "2"):
         with pytest.raises(InvalidParameterError):
             validate_p(bad)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hgineq import (
@@ -19,6 +20,7 @@ from hgineq import (
     parse_group,
     product_field,
     radial_field,
+    reports,
     uncertainty_report,
 )
 
@@ -47,6 +49,9 @@ def test_ckn_gaussian_closed_forms(r3, r3_gaussian, config):
     assert rep.ratio == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-6)
     assert rep.detail["gamma"] == 2.0
     assert rep.params == {"p": 2.0, "alpha": 0.0, "beta": 1.0}
+    # numpy integer exponents are valid p: same report as the float
+    rep_int = ckn_report(group, norm, r3_gaussian, np.int64(2), 0.0, 1.0, config=config)
+    assert (rep_int.constant, rep_int.lhs, rep_int.rhs) == (rep.constant, rep.lhs, rep.rhs)
 
 
 def test_ckn_trivial_when_gamma_hits_dimension(r3, r3_gaussian, config):
@@ -161,6 +166,8 @@ def test_l2_identity_requires_order(r3, r3_gaussian, config):
     group, norm = r3
     with pytest.raises(InvalidParameterError):
         l2_identity_report(group, norm, r3_gaussian, k=0, config=config)
+    with pytest.raises(InvalidParameterError):
+        l2_identity_report(group, norm, r3_gaussian, k=1.0, config=config)
 
 
 def test_l2_sharp_bound(r3, r3_gaussian, config):
@@ -209,3 +216,19 @@ def test_reports_on_product_fields(heis, config):
     rep = ckn_report(group, norm, f, 2.0, 0.0, 1.0, config=config)
     assert rep.satisfied
     assert 0.0 < rep.ratio < 1.0
+
+
+def test_margin_propagation_first_order_and_zero_rule():
+    # one term 3 * a**2 * b**0.5: first-order error 3 (2 a b^0.5 da + 0.5 a^2 b^-0.5 db)
+    value, error = reports._side([(3.0, [(2.0, 1e-3, 2.0), (4.0, 2e-3, 0.5)])])
+    assert value == 3.0 * 4.0 * 2.0
+    assert error == pytest.approx(3.0 * (2 * 2.0 * 2.0 * 1e-3 + 0.5 * 4.0 * 0.5 * 2e-3))
+    # a factor whose value is 0 contributes err**e, times the other factors
+    value, error = reports._side([(3.0, [(0.0, 1e-3, 2.0), (4.0, 2e-3, 0.5)])])
+    assert value == 0.0
+    assert error == pytest.approx(3.0 * 1e-3**2 * 2.0)
+    # a sum of terms adds the terms' errors
+    value, error = reports._side([(3.0, [(2.0, 1e-3, 2.0), (4.0, 2e-3, 0.5)]),
+                                  (1.0, [(5.0, 0.25, 1.0)])])
+    assert value == 24.0 + 5.0
+    assert error == pytest.approx(3.0 * (8e-3 + 2e-3) + 0.25)
