@@ -15,14 +15,18 @@ Three evaluation strategies coexist and are cross-checked in the tests:
   quasi-norm, smooth or not.
 - *expansion*: for product fields ``g(N(x)) q(x)`` the orbit profile is
   ``sum_m c_m mono_m(xhat) t^{d_m} g(t)`` with weighted degrees ``d_m``,
-  differentiated termwise.
+  differentiated termwise; ``R^k f`` stays a product field of order ``k``.
 - *orbit finite differences*: central stencils along the orbit with
   Richardson extrapolation; needs only field values.
 
-Weighted norms ``|| f / N^a ||_p`` collapse to one-dimensional integrals
-against the measure ``sigma r^(Q-1) dr`` for quasi-radial fields, where
-``sigma`` is the area of the unit sphere ``{N = 1}``; the general case
-falls back to box quadrature over the support.
+Weighted norms ``|| f / N^a ||_p`` use the polar decomposition
+``dx = r^(Q-1) dr dsigma(w)`` along dilation orbits.  Quasi-radial fields
+collapse to one-dimensional integrals against ``sigma r^(Q-1) dr``, where
+``sigma`` is the area of the unit sphere ``{N = 1}``.  Every other field
+is integrated on the grid of log-panel radii times the nodes of
+:func:`~hgineq.quadrature.sphere_rule`: a product field's values there are
+an ``(R x M) @ (M x S)`` product of its orbit profiles and sphere
+monomials; any other field is evaluated at the points ``D_r w``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
-from math import comb
 
 import numpy as np
 
@@ -43,10 +46,17 @@ from .errors import (
     SingularSupportError,
     UnsupportedDomainError,
 )
-from .fields import ScalarField, radial_field
-from .groups import dilate, radial_frame_combination
+from .fields import ScalarField, orbit_profiles, product_field, radial_field
+from .groups import radial_frame_combination
 from .profiles import annulus_cutoff
-from .quadrature import DEFAULT_CONFIG, integrate_box, integrate_mc, integrate_radial
+from .quadrature import (
+    DEFAULT_CONFIG,
+    integrate_box,
+    integrate_mc,
+    integrate_radial,
+    polar_radial_nodes,
+    sphere_rule,
+)
 
 _ORBIT_FD_STENCILS = {
     1: ((-1, 1), (-0.5, 0.5)),
@@ -67,13 +77,6 @@ def _compatible(field_norm, norm):
         and field_norm.kind == norm.kind
         and field_norm.group.name == norm.group.name
     )
-
-
-def _falling(d, i):
-    out = 1.0
-    for j in range(i):
-        out *= d - j
-    return out
 
 
 def _orbit_fd_values(group, norm, f, k):
@@ -103,36 +106,6 @@ def _orbit_fd_values(group, norm, f, k):
         d1 = stencil_sum(h)
         d2 = stencil_sum(0.5 * h)
         out = (4.0 * d2 - d1) / 3.0
-        return out[0] if single else out
-
-    return values
-
-
-def _orbit_expansion_values(group, norm, f, k):
-    """Values closure for R^k of a product field (termwise orbit expansion)."""
-    r0, r1 = f.support
-    degs = f.poly.weighted_degrees(group.weights)
-    coeffs = np.asarray(f.poly.coeffs)
-
-    def values(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None] if single else x
-        r = np.asarray(norm(pts))
-        out = np.zeros(r.shape, dtype=complex)
-        m = (r >= r0) & (r <= r1)
-        if np.any(m):
-            xs = pts[m]
-            rs = r[m]
-            stack = f.profile.derivatives(rs, k)
-            mono = f.poly.monomials(xs)
-            acc = np.zeros(rs.shape, dtype=complex)
-            for mi, (c, d) in enumerate(zip(coeffs, degs)):
-                term = np.zeros(rs.shape, dtype=stack.dtype)
-                for i in range(k + 1):
-                    term += comb(k, i) * _falling(d, i) * rs ** (-float(i)) * stack[k - i]
-                acc += c * mono[:, mi] * term
-            out[m] = acc
         return out[0] if single else out
 
     return values
@@ -174,13 +147,8 @@ def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
                 f.profile.derivative(k), f.norm, support=f.support, field_id=tag
             )
         if f.structure == "product" and _compatible(f.norm, norm):
-            return ScalarField(
-                values=_orbit_expansion_values(group, norm, f, k),
-                support=f.support,
-                field_id=tag,
-                structure="generic",
-                norm=f.norm,
-            )
+            return product_field(f.profile, f.poly, f.norm, support=f.support, field_id=tag,
+                                 order=f.order + k)
         if f.gradient is not None and k == 1:
             return ScalarField(
                 values=_gradient_contraction_values(group, norm, f),
@@ -371,11 +339,56 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
     return sm
 
 
-def _support_box(f, norm):
+def _radial_range(f, norm):
+    """An interval of ``N`` that holds the support of ``f``.
+
+    A support measured in another norm ``M`` is widened through the two
+    unit balls' boxes: every catalog norm grows with each ``|x_i|``, so
+    ``N <= r1 * N(corner of M's box)`` on ``{M <= r1}`` and
+    ``M < r0`` wherever ``N < r0 / M(corner of N's box)``.
+    """
     if f.support is None:
         raise UnsupportedDomainError("field must declare a support annulus")
-    box_norm = f.norm if f.norm is not None else norm
-    return box_norm.bounding_halfwidths(f.support[1])
+    r0, r1 = f.support
+    other = f.norm
+    if other is None or _compatible(other, norm):
+        return r0, r1
+    return (r0 / float(other(norm.bounding_halfwidths(1.0))),
+            r1 * float(norm(other.bounding_halfwidths(1.0))))
+
+
+def _grid_values(group, norm, f, r, nodes):
+    """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n): (R, S)."""
+    if f.structure == "product" and _compatible(f.norm, norm):
+        mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
+        return orbit_profiles(f, r) @ mono.T
+    pts = r[:, None, None] ** group.weight_array() * nodes[None]
+    return np.asarray(f.values(pts.reshape(-1, group.dim))).reshape(len(r), len(nodes))
+
+
+def _polar_integral(group, norm, f, parts, p, config):
+    """``int |sum_i c_i g_i N^(-a_i)|^p dx`` over the support of ``f`` for
+    ``parts = [(c_i, g_i, a_i), ...]`` (fields derived from ``f``), on the
+    grid of radial nodes times sphere nodes; returns ``(value, error)``.
+
+    The error is the difference against one pass at half the radial and
+    half the sphere order.
+    """
+    r_lo, r_hi = _radial_range(f, norm)
+    q_dim = group.homogeneous_dimension
+
+    def one_pass(order, sphere_order):
+        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
+        nodes, sigma = sphere_rule(norm, sphere_order)
+        acc = 0.0
+        for c, g, a in parts:
+            acc = acc + c * r[:, None] ** (-a) * _grid_values(group, norm, g, r, nodes)
+        return float((wr * r ** (q_dim - 1.0)) @ np.abs(acc) ** p @ sigma)
+
+    full = one_pass(config.radial_order, config.sphere_order)
+    coarse = one_pass(max(2, config.radial_order // 2), max(2, config.sphere_order // 2))
+    err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
+    return max(full, 0.0), err
 
 
 def weighted_lp_norm(group, norm, f, weight, p, config=None):
@@ -383,7 +396,7 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
 
     Quasi-radial fields (matching the active norm) use the exact polar
     factorization ``sigma * int |g|^p r^(Q - 1 - weight p) dr``; anything
-    else integrates over the support box.
+    else is integrated on the polar grid of radial and sphere nodes.
     """
     config = config or DEFAULT_CONFIG
     if not p >= 1.0:
@@ -408,18 +421,7 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
         total = sm.value * raw
         total_err = sm.value * raw_err + sm.error * raw
     else:
-        halfwidths = _support_box(f, norm)
-
-        def integrand(x):
-            av = np.abs(f.values(x))
-            out = np.zeros(av.shape)
-            m = av > 0
-            if np.any(m):
-                out[m] = av[m] ** p * np.asarray(norm(x[m])) ** (-weight * p)
-            return out
-
-        total, total_err = integrate_box(integrand, halfwidths, config)
-        total = max(total, 0.0)
+        total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p, config)
 
     value = total ** (1.0 / p)
     if value > 0:
@@ -467,24 +469,7 @@ def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto"):
         parts = [
             (c, nth_radial_derivative(group, norm, f, k, mode=mode), a) for c, k, a in terms
         ]
-        halfwidths = _support_box(f, norm)
-        inner_norm = f.norm if f.norm is not None else norm
-
-        def integrand(x):
-            rf = np.asarray(inner_norm(x))
-            out = np.zeros(rf.shape)
-            m = (rf >= r0) & (rf <= r1)
-            if np.any(m):
-                xs = x[m]
-                ra = np.asarray(norm(xs))
-                acc = np.zeros(ra.shape, dtype=complex)
-                for c, fld, a in parts:
-                    acc += c * np.asarray(fld.values(xs)) * ra ** (-a)
-                out[m] = np.abs(acc) ** 2
-            return out
-
-        total, total_err = integrate_box(integrand, halfwidths, config)
-        total = max(total, 0.0)
+        total, total_err = _polar_integral(group, norm, f, parts, 2.0, config)
 
     value = math.sqrt(total)
     error = total_err / (2.0 * value) if value > 0 else math.sqrt(total_err)

@@ -53,6 +53,9 @@ _DEFAULTS = {
     "allow_empty": False,
     "timestamp": False,
     "quadrature": {},
+    "method": "auto",
+    "schedule": None,
+    "target_gap": None,
 }
 
 _CHECK_NAMES = (*CHECKS, *ALIASES, *VARIANTS)
@@ -61,7 +64,7 @@ _CHECK_NAMES = (*CHECKS, *ALIASES, *VARIANTS)
 _LISTS = {"p": float, "alpha": float, "beta": float, "theta": float, "k": int, "m": int,
           "annulus": float, "checks": str.strip}
 _SCALARS = ("group", "norm", "mode", "format", "out", "count", "seed", "radial_fraction",
-            "allow_empty", "timestamp")
+            "allow_empty", "timestamp", "method", "schedule", "target_gap")
 
 
 def _items(value, conv):
@@ -75,11 +78,12 @@ def _items(value, conv):
 
 def _schedule(text):
     out = []
-    for part in _items(text, str.strip):
-        eps, _, r_out = part.partition(":")
-        if not r_out:
-            raise ConfigError(f"bad schedule entry {part!r} (want eps:r_out)")
-        out.append((float(eps), float(r_out)))
+    for part in _items(text, str):
+        eps, _, r_out = part.strip().partition(":")
+        try:
+            out.append((float(eps), float(r_out)))
+        except ValueError:
+            raise ConfigError(f"bad schedule entry {part!r} (want eps:r_out)") from None
     return out
 
 
@@ -92,7 +96,8 @@ def _add_common(sub):
                      help="shorthand: radial order and box points per axis")
     sub.add_argument("--radial-order", type=int, dest="radial_order")
     sub.add_argument("--radial-panels", type=int, dest="radial_panels")
-    sub.add_argument("--box-points", type=int, dest="box_points")
+    sub.add_argument("--box-points", type=int, dest="box_points",
+                     help="box points per axis of the sphere measure's rule")
     sub.add_argument("--mc-samples", type=int, dest="mc_samples")
     sub.add_argument("--timestamp", action="store_true", default=None,
                      help="embed a generation timestamp (breaks byte determinism)")
@@ -296,7 +301,11 @@ def _cmd_scan(args):
     group, norm, quad = _setup(cfg)
     if len(cfg["p"]) != 1 or len(cfg["alpha"]) != 1 or len(cfg["beta"]) != 1:
         raise ConfigError("scan-sharpness takes single p, alpha, beta values")
-    schedule = _schedule(args.schedule) if args.schedule else None
+    schedule = _schedule(cfg["schedule"]) if cfg["schedule"] else None
+    try:
+        target_gap = None if cfg["target_gap"] is None else float(cfg["target_gap"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for target_gap: {cfg['target_gap']!r}") from None
     scan = sharpness_scan(
         group, norm, cfg["p"][0], cfg["alpha"][0], cfg["beta"][0],
         schedule=schedule, config=quad,
@@ -310,10 +319,10 @@ def _cmd_scan(args):
         and scan.target - e["attained"] > e.get("margin", 0.0)
     ]
     doc["undercut"] = [dict(e) for e in undercut]
-    if args.target_gap is not None:
-        doc["target_gap"] = args.target_gap
+    if target_gap is not None:
+        doc["target_gap"] = target_gap
         doc["target_gap_met"] = bool(
-            doc["best_gap"] is not None and doc["best_gap"] <= args.target_gap
+            doc["best_gap"] is not None and doc["best_gap"] <= target_gap
         )
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg["out"])
     gap = doc["best_gap"]
@@ -330,7 +339,7 @@ def _cmd_scan(args):
             file=sys.stderr,
         )
         return 1
-    if args.target_gap is not None and not doc["target_gap_met"]:
+    if target_gap is not None and not doc["target_gap_met"]:
         return 1
     return 0
 
@@ -339,8 +348,7 @@ def _cmd_sigma(args):
     cfg, given = _merge(args)
     group, norm, quad = _setup(cfg)
     annulus = tuple(cfg["annulus"]) if "annulus" in given else (1.0, 2.0)
-    method = args.method or "auto"
-    sm = sphere_measure(group, norm, annulus=annulus, config=quad, method=method)
+    sm = sphere_measure(group, norm, annulus=annulus, config=quad, method=cfg["method"])
     _emit(json.dumps(sm.to_dict(), indent=2, sort_keys=True) + "\n", cfg["out"])
     print(f"sphere-measure: {sm.value:.12g} +/- {sm.error:.3g} ({sm.method})",
           file=sys.stderr)

@@ -3,7 +3,7 @@
 Fields are log-normal bump mixtures times a smooth annulus cutoff, so
 their radial derivative stacks are analytic to all orders; a configurable
 fraction gets a low-degree polynomial factor (breaking quasi-radiality)
-to exercise the orbit-expansion and box-quadrature code paths.  The same
+to exercise the orbit expansion and the polar-grid integration route.  The same
 ``(seed, count, ...)`` always regenerates bit-identical fields.
 """
 

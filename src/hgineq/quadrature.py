@@ -2,10 +2,21 @@
 
 Radial integrals use composite Gauss-Legendre panels placed uniformly in
 ``log r``, which resolves integrands spread over dozens of decades (the
-panel count automatically grows with the log-width of the interval).  Box
-integrals use tensor-product Gauss-Legendre with chunked evaluation so the
-node set never materializes at once; Monte Carlo is available for higher
-dimensions.
+panel count automatically grows with the log-width of the interval).
+
+:func:`sphere_rule` gives nodes on the unit sphere ``{N = 1}`` of a
+quasi-norm with cone-measure weights, so that with the radial panels
+
+    int F dx = int_0^inf int_{N=1} F(D_r w) r^(Q-1) dsigma(w) dr
+
+(the polar decomposition of Haar measure, Folland-Stein 1982, Prop. 1.15)
+becomes a sum over a grid of radii times sphere nodes.  Its order is tied
+to the radial order (:attr:`QuadratureConfig.sphere_order`).
+
+Box integrals use tensor-product Gauss-Legendre with chunked evaluation so
+the node set never materializes at once; they compute the sphere measure
+(``box_points``) and serve as an independent oracle in the tests.  Monte
+Carlo is available for higher dimensions.
 
 Every ``integrate_*`` routine returns ``(value, error)`` where ``error``
 is an a-posteriori estimate obtained by re-integrating at roughly half the
@@ -15,6 +26,7 @@ spectrally convergent Gauss rules.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,7 +52,8 @@ class QuadratureConfig:
         Minimum number of log-spaced radial panels (grows automatically
         with the log-width of the integration interval).
     box_points : int
-        Tensor-product points per axis for box integrals.
+        Tensor-product points per axis for box integrals (the sphere
+        measure).
     mc_samples : int
         Sample count for Monte Carlo fallbacks.
     """
@@ -57,6 +70,12 @@ class QuadratureConfig:
             raise InvalidParameterError("radial_panels must be >= 1")
         if self.mc_samples < 100:
             raise InvalidParameterError("mc_samples must be >= 100")
+
+    @property
+    def sphere_order(self):
+        """Order of the sphere rule on the polar route: 3/8 of the radial
+        order (12 at the default)."""
+        return max(2, 3 * self.radial_order // 8)
 
     def doubled(self):
         return QuadratureConfig(
@@ -101,6 +120,99 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
     nodes = (0.5 * (hi + lo) + half * xg).ravel()
     weights = (half * wg).ravel()
     return nodes, weights
+
+
+#: on a support that touches the origin, the log-spaced panels start at
+#: this fraction of the outer radius, behind one plain Gauss-Legendre panel
+_ORIGIN_PANEL = 1e-3
+
+
+def polar_radial_nodes(r_lo, r_hi, order, panels):
+    """Radial nodes and weights of the polar route on ``[r_lo, r_hi]``:
+    log-spaced panels as in :func:`integrate_radial`, and for ``r_lo = 0``
+    one plain Gauss-Legendre panel on ``[0, r_hi * 1e-3]`` in front."""
+    if r_lo > 0:
+        return radial_log_nodes(r_lo, r_hi, order, effective_panels(r_lo, r_hi, panels))
+    r_b = _ORIGIN_PANEL * r_hi
+    nodes, weights = radial_log_nodes(r_b, r_hi, order, effective_panels(r_b, r_hi, panels))
+    xg, wg = _gauss(order)
+    return np.concatenate([0.5 * r_b * (xg + 1.0), nodes]), np.concatenate([0.5 * r_b * wg, weights])
+
+
+def unit_sphere_rule(n, order):
+    """Nodes ``(S, n)`` and weights ``(S,)`` of a product rule for surface
+    measure on the Euclidean unit sphere of ``R^n``.
+
+    ``n = 1``: the two points ``+-1``; ``n = 2``: the trapezoid rule at
+    ``2 * order`` angles; ``n = 3``: Gauss-Legendre in ``cos(theta)`` of the
+    last coordinate times the circle rule; ``n >= 4``: Gauss-Legendre in
+    ``theta`` with weight ``sin(theta)**(n-2)`` times the rule one dimension
+    down.  Every rule is symmetric under each reflection ``u_i -> -u_i``.
+    """
+    if n == 1:
+        return np.array([[1.0], [-1.0]]), np.ones(2)
+    if n == 2:
+        phi = np.pi * np.arange(2 * order) / order
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1), np.full(2 * order, np.pi / order)
+    sub, wsub = unit_sphere_rule(n - 1, order)
+    xg, wg = _gauss(order)
+    if n == 3:
+        t, wt = xg, wg
+    else:
+        theta = 0.5 * np.pi * (xg + 1.0)
+        t, wt = np.cos(theta), 0.5 * np.pi * wg * np.sin(theta) ** (n - 2)
+    s = np.sqrt(1.0 - t * t)
+    nodes = np.concatenate([
+        s[:, None, None] * sub[None], np.broadcast_to(t[:, None, None], (len(t), len(sub), 1))
+    ], axis=-1)
+    return nodes.reshape(-1, n), np.outer(wt, wsub).ravel()
+
+
+def _cube_face_rule(weights, order):
+    """The unit sphere of ``max_i |x_i|^(1/w_i)`` is the boundary of the cube
+    ``[-1, 1]^n``; the cone measure on the face ``x_i = +-1`` is ``w_i``
+    times surface measure.  Tensor Gauss-Legendre on each face."""
+    n = len(weights)
+    xg, wg = _gauss(order)
+    grids = np.meshgrid(*[xg] * (n - 1), indexing="ij")
+    face = np.stack([g.ravel() for g in grids], axis=-1) if grids else np.zeros((1, 0))
+    wface = np.ones(1)
+    for _ in range(n - 1):
+        wface = np.multiply.outer(wface, wg).ravel()
+    nodes, sigma = [], []
+    for i, w in enumerate(weights):
+        for sign in (1.0, -1.0):
+            nodes.append(np.insert(face, i, sign, axis=1))
+            sigma.append(w * wface)
+    return np.concatenate(nodes), np.concatenate(sigma)
+
+
+@functools.lru_cache(maxsize=64)
+def sphere_rule(norm, order):
+    """Nodes ``w_j`` on the unit sphere ``{N = 1}`` of ``norm`` and their
+    cone-measure weights ``sigma_j``: ``(nodes (S, n), weights (S,))``.
+
+    For a smooth norm, a rule on the Euclidean sphere is pulled back along
+    dilation orbits through ``x = D_s(A u)`` with
+    ``A = diag(norm.bounding_halfwidths(1))``: the node ``A u`` moves to
+    ``w = D_(1/N(Au)) A u`` and its weight is multiplied by
+    ``J(u) = det A * sum_i w_i u_i^2 * N(Au)^(-Q)``.  Scaling by ``A`` first
+    keeps ``J`` nearly constant (the unit ball's box is the unit cube's
+    image).  ``max_scaled`` uses :func:`_cube_face_rule` instead.
+    """
+    w = norm.group.weight_array()
+    if norm.kind == "max_scaled":
+        nodes, sigma = _cube_face_rule(w, order)
+    else:
+        a = norm.bounding_halfwidths(1.0)
+        u, wu = unit_sphere_rule(len(w), order)
+        x = a * u
+        r = norm(x)
+        nodes = x * r[:, None] ** (-w)
+        sigma = wu * np.prod(a) * ((u * u) @ w) * r ** (-w.sum())
+    nodes.flags.writeable = False
+    sigma.flags.writeable = False
+    return nodes, sigma
 
 
 def integrate_radial(fn, r_lo, r_hi, config=DEFAULT_CONFIG, auto_panels=True):

@@ -272,16 +272,16 @@ def test_weighted_norm_zero_field(r3, config):
     assert val == 0.0 and err >= 0.0
 
 
-def test_weighted_norm_polar_vs_cartesian(heis):
-    # the generic box path is a coarse fallback; with a snug support it
-    # should land within a few percent of the exact polar factorization
+def test_weighted_norm_polar_vs_cartesian(heis, config):
+    # an opaque field is sampled on the polar grid of radial and sphere
+    # nodes; on a quasi-radial field that agrees with the exact
+    # factorization through sigma up to sigma's own error
     group, norm = heis
     f = _bump(norm, 0.5, 4.0)
-    cfg = QuadratureConfig(box_points=96)
-    exact, _ = weighted_lp_norm(group, norm, f, 0.5, 2.0, cfg)
+    exact, _ = weighted_lp_norm(group, norm, f, 0.5, 2.0, config)
     opaque = generic_field(f.values, f.support, norm=norm, field_id="opaque")
-    boxed, boxed_err = weighted_lp_norm(group, norm, opaque, 0.5, 2.0, cfg)
-    assert boxed == pytest.approx(exact, rel=0.05)
+    sampled, _ = weighted_lp_norm(group, norm, opaque, 0.5, 2.0, config)
+    assert sampled == pytest.approx(exact, rel=1e-5)
 
 
 def test_weighted_combo_cross_terms(r3, config):

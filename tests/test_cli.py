@@ -234,6 +234,10 @@ _CONFIG_CASES = [
     ("identity-check", ("--count", "2"), "alpha", "--alpha", "-1,1"),
     ("identity-check", ("--count", "2"), "k", "--k", "2"),
     ("scan-sharpness", ("--schedule", "1e-2:1e2"), "beta", "--beta", "0.5"),
+    ("scan-sharpness", (), "schedule", "--schedule", "1e-2:1e2,1e-4:1e4"),
+    ("scan-sharpness", ("--schedule", "1e-2:1e2"), "target_gap", "--target-gap", "0.75"),
+    ("sphere-measure", ("--group", "r:2", "--resolution", "16"), "method", "--method",
+     "indicator"),
     ("verify", ("--count", "2"), "checks", "--check", "hardy,up1p"),
     ("verify", ("--count", "2", "--check", "higher"), "theta", "--theta", "0.25"),
     ("verify", ("--count", "2", "--check", "pair"), "m", "--m", "1"),
