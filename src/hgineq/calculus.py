@@ -347,8 +347,6 @@ def _radial_range(f, norm):
     ``N <= r1 * N(corner of M's box)`` on ``{M <= r1}`` and
     ``M < r0`` wherever ``N < r0 / M(corner of N's box)``.
     """
-    if f.support is None:
-        raise UnsupportedDomainError("field must declare a support annulus")
     r0, r1 = f.support
     other = f.norm
     if other is None or _compatible(other, norm):
@@ -361,7 +359,8 @@ def _grid_values(group, norm, f, r, nodes):
     """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n): (R, S)."""
     if f.structure == "product" and _compatible(f.norm, norm):
         mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
-        return orbit_profiles(f, r) @ mono.T
+        degs = f.poly.weighted_degrees(group.weights)
+        return orbit_profiles(f.profile, degs, f.order, r) @ mono.T
     pts = r[:, None, None] ** group.weight_array() * nodes[None]
     return np.asarray(f.values(pts.reshape(-1, group.dim))).reshape(len(r), len(nodes))
 

@@ -192,22 +192,18 @@ def _falling(d, i):
     return out
 
 
-def _orbit_profiles(profile, degs, k, r):
+def orbit_profiles(profile, degs, k, r):
+    """``H_m(r) = d^k/dr^k [r^(d_m) g(r)]`` for a profile ``g`` and each
+    weighted degree ``d_m``; shape ``r.shape + (M,)``.
+
+    Along the orbit through ``w`` on the unit sphere, the product field
+    ``R^k [g(N) q]`` takes the values ``sum_m c_m w^(e_m) H_m(r)``.
+    """
     stack = profile.derivatives(r, k)
     return np.stack([
         sum(comb(k, i) * _falling(d, i) * r ** (d - i) * stack[k - i] for i in range(k + 1))
         for d in degs
     ], axis=-1)
-
-
-def orbit_profiles(f, r):
-    """``H_m(r) = d^k/dr^k [r^(d_m) g(r)]`` for each monomial of the product
-    field ``f = R^k [g(N) q]``, shape ``r.shape + (M,)``.
-
-    Along the orbit through ``w`` on the unit sphere,
-    ``f(D_r w) = sum_m c_m w^(e_m) H_m(r)``.
-    """
-    return _orbit_profiles(f.profile, f.poly.weighted_degrees(f.norm.group.weights), f.order, r)
 
 
 def product_field(profile, poly, norm, support=None, field_id="", order=0):
@@ -235,7 +231,7 @@ def product_field(profile, poly, norm, support=None, field_id="", order=0):
                 # x^e = r^d w^e on the orbit through w = D_(1/r) x
                 rs = r[m]
                 terms = poly.monomials(x[m]) * rs[:, None] ** -degs
-                out[m] = (terms * _orbit_profiles(profile, degs, order, rs)) @ np.asarray(
+                out[m] = (terms * orbit_profiles(profile, degs, order, rs)) @ np.asarray(
                     poly.coeffs)
         return out
 

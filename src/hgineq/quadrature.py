@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -174,11 +175,8 @@ def _cube_face_rule(weights, order):
     times surface measure.  Tensor Gauss-Legendre on each face."""
     n = len(weights)
     xg, wg = _gauss(order)
-    grids = np.meshgrid(*[xg] * (n - 1), indexing="ij")
-    face = np.stack([g.ravel() for g in grids], axis=-1) if grids else np.zeros((1, 0))
-    wface = np.ones(1)
-    for _ in range(n - 1):
-        wface = np.multiply.outer(wface, wg).ravel()
+    face = np.array(list(itertools.product(xg, repeat=n - 1))).reshape(-1, n - 1)
+    wface = np.prod(np.array(list(itertools.product(wg, repeat=n - 1))).reshape(-1, n - 1), axis=1)
     nodes, sigma = [], []
     for i, w in enumerate(weights):
         for sign in (1.0, -1.0):

@@ -71,6 +71,16 @@ def test_poly_factor_monomials_and_degrees():
         PolyFactor(exponents=((0.5, 0, 0),), coeffs=(1.0,))
 
 
+def test_poly_factor_monomials_match_powers():
+    # monomials multiply out powers; ** on the exponents is the reference
+    q = PolyFactor(exponents=((0, 0, 0), (3, 0, 1), (0, 2, 0), (1, 1, 4)), coeffs=(1, 2, 3, 4))
+    x = np.random.default_rng(1).normal(size=(7, 5, 3))
+    expected = np.prod(x[..., None, :] ** np.asarray(q.exponents), axis=-1)
+    assert q.monomials(x).shape == (7, 5, 4)
+    assert np.allclose(q.monomials(x), expected, rtol=1e-15, atol=0)
+    assert np.allclose(q.monomials(x[0, 0]), expected[0, 0], rtol=1e-15, atol=0)
+
+
 def test_product_field_values_and_gradient(heis_pair):
     g, n = heis_pair
     prof = log_gaussian_profile(1.0, 0.0, 0.5)

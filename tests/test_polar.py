@@ -107,7 +107,8 @@ def test_radial_derivatives_of_product_fields_stay_products(heis):
     w = x[:1] / np.asarray(norm(x[:1]))[:, None] ** group.weight_array()
     on_orbit = r2f.values(r[:, None] ** group.weight_array() * w)
     mono = f.poly.monomials(w)[0] * np.asarray(f.poly.coeffs)
-    assert np.allclose(on_orbit, orbit_profiles(r2f, r) @ mono, rtol=1e-12)
+    degs = f.poly.weighted_degrees(group.weights)
+    assert np.allclose(on_orbit, orbit_profiles(f.profile, degs, 2, r) @ mono, rtol=1e-12)
     # dilations commute with R up to the factor lam^k
     lam = 1.7
     lhs = dilate_field(group, r2f, lam).values(x)
