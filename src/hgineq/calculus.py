@@ -22,11 +22,15 @@ Three evaluation strategies coexist and are cross-checked in the tests:
 Weighted norms ``|| f / N^a ||_p`` use the polar decomposition
 ``dx = r^(Q-1) dr dsigma(w)`` along dilation orbits.  Quasi-radial fields
 collapse to one-dimensional integrals against ``sigma r^(Q-1) dr``, where
-``sigma`` is the area of the unit sphere ``{N = 1}``.  Every other field
-is integrated on the grid of log-panel radii times the nodes of
-:func:`~hgineq.quadrature.sphere_rule`: a product field's values there are
-an ``(R x M) @ (M x S)`` product of its orbit profiles and sphere
-monomials; any other field is evaluated at the points ``D_r w``.
+``sigma`` is the area of the unit sphere ``{N = 1}``.  Their radial node
+sets are memoized, and a field's derivative stack is computed once per
+node set and reused across every norm, derivative order and report of
+that field; :func:`_profile_stack` keeps a fixed number of stacks.
+
+Every other field is integrated on the grid of log-panel radii times the
+nodes of :func:`~hgineq.quadrature.sphere_rule`: a product field's values
+there are an ``(R x M) @ (M x S)`` product of its orbit profiles and
+sphere monomials; any other field is evaluated at the points ``D_r w``.
 """
 
 from __future__ import annotations
@@ -339,6 +343,38 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
     return sm
 
 
+#: stacks kept: the full and the coarse node set of two fields
+_STACK_ENTRIES = 4
+_STACKS = []  # (root profile, node array, read-only stack), least recent first
+
+
+def _profile_stack(prof, r, order):
+    """``prof.derivatives(r, order)``, sliced from a stack of the root
+    profile (:meth:`~hgineq.profiles.RadialProfile.root`) that is kept
+    for the last few (root, node array) pairs, matched by identity.
+
+    ``R^k f`` then reuses ``f``'s stack on the same memoized node set, and
+    so does every later norm of ``f``.  Entry ``j`` of a stack depends
+    only on entries ``<= j``, so a slice equals a fresh evaluation bit for
+    bit; asking for a higher order than is kept recomputes the entry.
+    """
+    root, k = prof.root()
+    need = k + order
+    for i, entry in enumerate(_STACKS):
+        if entry[0] is root and entry[1] is r:
+            del _STACKS[i]
+            break
+    else:
+        entry = None
+    if entry is None or len(entry[2]) <= need:
+        stack = root.derivatives(r, need)
+        stack.flags.writeable = False
+        entry = (root, r, stack)
+    _STACKS.append(entry)
+    del _STACKS[:-_STACK_ENTRIES]
+    return entry[2][k:need + 1]
+
+
 def _radial_range(f, norm):
     """An interval of ``N`` that holds the support of ``f``.
 
@@ -413,7 +449,7 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
         prof = f.profile
 
         def integrand(r):
-            return np.abs(prof(r)) ** p * r**expo
+            return np.abs(_profile_stack(prof, r, 0)[0]) ** p * r**expo
 
         raw, raw_err = integrate_radial(integrand, r0, r1, config)
         raw = max(raw, 0.0)
@@ -452,7 +488,7 @@ def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto"):
         prof = f.profile
 
         def integrand(r):
-            stack = prof.derivatives(r, kmax)
+            stack = _profile_stack(prof, r, kmax)
             acc = np.zeros(r.shape, dtype=complex)
             for c, k, a in terms:
                 acc += c * stack[k] * r ** (-a)

@@ -60,12 +60,6 @@ _DEFAULTS = {
 
 _CHECK_NAMES = (*CHECKS, *ALIASES, *VARIANTS)
 
-# list-valued keys, each with the conversion of one item
-_LISTS = {"p": float, "alpha": float, "beta": float, "theta": float, "k": int, "m": int,
-          "annulus": float, "checks": str.strip}
-_SCALARS = ("group", "norm", "mode", "format", "out", "count", "seed", "radial_fraction",
-            "allow_empty", "timestamp", "method", "schedule", "target_gap")
-
 
 def _items(value, conv):
     """A flag or file value as a list: comma-separated text, one value, or a
@@ -85,6 +79,30 @@ def _schedule(text):
         except ValueError:
             raise ConfigError(f"bad schedule entry {part!r} (want eps:r_out)") from None
     return out
+
+
+def _flag(value):
+    """A JSON boolean, or the text ``true`` / ``false``."""
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text not in ("true", "false"):
+        raise ValueError(value)
+    return text == "true"
+
+
+def _optional(conv):
+    return lambda value: None if value is None else conv(value)
+
+
+# list-valued keys, each with the conversion of one item
+_LISTS = {"p": float, "alpha": float, "beta": float, "theta": float, "k": int, "m": int,
+          "annulus": float, "checks": str.strip}
+# the other keys, each with its conversion (a file's values come untyped)
+_SCALARS = {"group": str, "norm": _optional(str), "mode": str, "format": str,
+            "out": _optional(str), "count": int, "seed": int, "radial_fraction": float,
+            "allow_empty": _flag, "timestamp": _flag, "method": str,
+            "schedule": _optional(_schedule), "target_gap": _optional(float)}
 
 
 def _add_common(sub):
@@ -180,9 +198,9 @@ def _merge(args):
         if v is not None:
             given[key] = v
     for key, value in given.items():
-        if key in _LISTS:
+        if key in _LISTS or key in _SCALARS:
             try:
-                value = _items(value, _LISTS[key])
+                value = _items(value, _LISTS[key]) if key in _LISTS else _SCALARS[key](value)
             except (TypeError, ValueError):
                 raise ConfigError(f"bad value for {key}: {value!r}") from None
         cfg[key] = value
@@ -301,11 +319,7 @@ def _cmd_scan(args):
     group, norm, quad = _setup(cfg)
     if len(cfg["p"]) != 1 or len(cfg["alpha"]) != 1 or len(cfg["beta"]) != 1:
         raise ConfigError("scan-sharpness takes single p, alpha, beta values")
-    schedule = _schedule(cfg["schedule"]) if cfg["schedule"] else None
-    try:
-        target_gap = None if cfg["target_gap"] is None else float(cfg["target_gap"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for target_gap: {cfg['target_gap']!r}") from None
+    schedule, target_gap = cfg["schedule"] or None, cfg["target_gap"]
     scan = sharpness_scan(
         group, norm, cfg["p"][0], cfg["alpha"][0], cfg["beta"][0],
         schedule=schedule, config=quad,

@@ -20,6 +20,7 @@ integrands safe near the origin.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -152,11 +153,16 @@ def radial_field(profile, norm, support=None, field_id=""):
     r0, r1 = float(sup[0]), float(sup[1])
     if not 0.0 < r0 < r1:
         raise InvalidParameterError("support must satisfy 0 < r0 < r1")
-    dtype = _profile_dtype(profile, (r0, r1))
+
+    # probed on first use: a report on a quasi-radial field only ever
+    # evaluates the profile's stack on radial nodes, never these values
+    @functools.cache
+    def dtype():
+        return _profile_dtype(profile, (r0, r1))
 
     def values(x):
         r = norm(x)
-        out = np.zeros(r.shape, dtype=dtype)
+        out = np.zeros(r.shape, dtype=dtype())
         m = (r >= r0) & (r <= r1)
         if np.any(m):
             out[m] = profile(r[m])
@@ -167,7 +173,7 @@ def radial_field(profile, norm, support=None, field_id=""):
 
         def grad(x):
             r = norm(x)
-            out = np.zeros(x.shape, dtype=dtype)
+            out = np.zeros(x.shape, dtype=dtype())
             m = (r >= r0) & (r <= r1)
             if np.any(m):
                 gp = profile.derivatives(r[m], 1)[1]

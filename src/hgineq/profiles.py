@@ -50,11 +50,13 @@ class RadialProfile:
         or ``None`` if no such annulus is declared.
     label : str
         Free-form description used in diagnostics.
+    derived_from : tuple or None
+        ``(parent, k)`` for the profile ``parent.derivative(k)``.
     """
 
-    __slots__ = ("_stack", "support", "label")
+    __slots__ = ("_stack", "support", "label", "derived_from")
 
-    def __init__(self, stack, support=None, label=""):
+    def __init__(self, stack, support=None, label="", derived_from=None):
         if support is not None:
             lo, hi = support
             if not (0.0 < lo < hi):
@@ -63,6 +65,7 @@ class RadialProfile:
         self._stack = stack
         self.support = support
         self.label = label
+        self.derived_from = derived_from
 
     def derivatives(self, r, order):
         """Evaluate the derivative stack up to ``order`` at points ``r``."""
@@ -84,7 +87,18 @@ class RadialProfile:
         def stack(r, order):
             return parent.derivatives(r, order + k)[k:]
 
-        return RadialProfile(stack, support=self.support, label=f"D^{k}[{self.label}]")
+        return RadialProfile(stack, support=self.support, label=f"D^{k}[{self.label}]",
+                             derived_from=(self, k))
+
+    def root(self):
+        """``(g, k)`` such that this profile is ``g^(k)`` and ``g`` was not
+        made by :meth:`derivative`; entry ``j`` of this profile's stack is
+        entry ``k + j`` of ``g``'s."""
+        prof, k = self, 0
+        while prof.derived_from is not None:
+            prof, j = prof.derived_from
+            k += j
+        return prof, k
 
     def with_support(self, support):
         """Same profile with an explicitly declared support annulus."""

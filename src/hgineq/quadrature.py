@@ -3,6 +3,9 @@
 Radial integrals use composite Gauss-Legendre panels placed uniformly in
 ``log r``, which resolves integrands spread over dozens of decades (the
 panel count automatically grows with the log-width of the interval).
+Node sets are memoized (:func:`radial_log_nodes`, like :func:`sphere_rule`,
+keeps a bounded number of read-only arrays), so every integral over the
+same interval at the same order sees the same array object.
 
 :func:`sphere_rule` gives nodes on the unit sphere ``{N = 1}`` of a
 quasi-norm with cone-measure weights, so that with the radial panels
@@ -85,6 +88,10 @@ class QuadratureConfig:
 
     def digest(self):
         """Short stable hash of the configuration, recorded in report metadata."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self):
         blob = json.dumps(
             [self.radial_order, self.radial_panels, self.box_points, self.mc_samples]
         )
@@ -109,8 +116,13 @@ def effective_panels(r_lo, r_hi, panels):
     return max(panels, int(math.ceil(2.0 * spread)))
 
 
+@functools.lru_cache(maxsize=64)
 def radial_log_nodes(r_lo, r_hi, order, panels):
-    """Nodes and weights of panelwise Gauss-Legendre, log-spaced panels."""
+    """Nodes and weights of panelwise Gauss-Legendre, log-spaced panels.
+
+    Memoized: a repeated call returns the same read-only arrays, which
+    lets :mod:`~hgineq.calculus` recognise a node set by identity.
+    """
     if not 0 < r_lo < r_hi:
         raise InvalidParameterError("need 0 < r_lo < r_hi")
     edges = np.geomspace(r_lo, r_hi, panels + 1)
@@ -120,6 +132,8 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo) + half * xg).ravel()
     weights = (half * wg).ravel()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 

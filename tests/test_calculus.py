@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from hgineq import (
+    CorpusSpec,
+    DegenerateConstantError,
     InvalidParameterError,
     MissingDerivativeError,
     PolyFactor,
     QuadratureConfig,
+    RadialProfile,
     SingularPointError,
     UnsupportedDomainError,
     annulus_cutoff,
@@ -17,17 +20,21 @@ from hgineq import (
     generic_field,
     haar_integral,
     log_gaussian_profile,
+    make_corpus,
     make_norm,
     nth_radial_derivative,
     parse_group,
     product_field,
     radial_derivative,
     radial_field,
+    render_json,
     sphere_measure,
     weighted_combo_l2,
     weighted_lp_norm,
 )
-from hgineq.calculus import _SIGMA_CACHE
+from hgineq.calculus import _SIGMA_CACHE, _STACK_ENTRIES, _STACKS, _profile_stack
+from hgineq.quadrature import radial_log_nodes
+from hgineq.reports import evaluate
 
 
 def _bump(norm, lo=0.2, hi=5.0):
@@ -311,3 +318,101 @@ def test_weighted_combo_fast_vs_generic(heis):
     fast, _ = weighted_combo_l2(group, norm, f, [(1.0, 1, 0.5), (0.3, 0, 1.5)], cfg)
     slow, _ = weighted_combo_l2(group, norm, f, [(1.0, 1, 0.5), (0.3, 0, 1.5)], cfg, mode="orbit_fd")
     assert slow == pytest.approx(fast, rel=0.05)
+
+
+# -- stack cache ----------------------------------------------------------------
+
+_PAIRS = ((0.0, 1.0), (0.5, 0.5), (-0.5, 1.0), (1.0, 0.25), (0.25, -0.25))
+_ALPHAS = sorted({a for a, _ in _PAIRS})
+#: one field's criterion-04 grid plus the L^2 identity at k = 1, 2 (53 points)
+_GRID = [
+    *[(check, point) for p in (1.5, 2.0, 3.0) for check, point in (
+        *[("ckn", {"p": p, "alpha": a, "beta": b}) for a, b in _PAIRS],
+        *[(c, {"p": p, "alpha": a}) for c in ("hardy", "hpw1") for a in _ALPHAS],
+        *[(c, {"p": p}) for c in ("up1p", "hpw2")],
+    )],
+    *[("l2-identity", {"alpha": 0.0, "k": k}) for k in (1, 2)],
+]
+_GRID_ORDERS = (0, 1, 2)
+
+
+def _corpus_field(group, norm):
+    """A newly built quasi-radial corpus field: equal values, no shared objects."""
+    return make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=1.0))[0]
+
+
+def _report(check, group, norm, f, point):
+    try:
+        return render_json([evaluate(check, group, norm, f, point)])
+    except (DegenerateConstantError, InvalidParameterError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", ["r:3", "heis1", "aniso:1,2"])
+def test_cached_stacks_give_the_reports_of_a_fresh_field(name):
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = _corpus_field(group, norm)
+    assert len(_GRID) == 53
+    for check, point in _GRID:
+        fresh = _report(check, group, norm, _corpus_field(group, norm), point)
+        assert _report(check, group, norm, f, point) == fresh, (check, point)
+
+
+def test_one_fields_grid_evaluates_its_stack_once_per_node_set_and_order(heis, monkeypatch):
+    group, norm = heis
+    f = _corpus_field(group, norm)
+    orig = RadialProfile.derivatives
+    calls = []
+
+    def counting(self, r, order):
+        if self is f.profile:
+            calls.append(order)
+        return orig(self, r, order)
+
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    for check, point in _GRID:
+        _report(check, group, norm, f, point)
+    # the full and the coarse radial node set, each at every order asked for
+    assert 0 < len(calls) <= 2 * len(_GRID_ORDERS)
+
+
+def test_stack_cache_and_node_memo_stay_bounded(r3, config):
+    group, norm = r3
+    for i in range(200):
+        f = _bump(norm, lo=0.2 + 0.001 * i)  # a new root and new node sets each time
+        weighted_lp_norm(group, norm, nth_radial_derivative(group, norm, f, 1), 0.0, 2.0,
+                         config)
+    assert len(_STACKS) <= _STACK_ENTRIES
+    info = radial_log_nodes.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_cached_stacks_and_node_sets_are_read_only(r3):
+    nodes, weights = radial_log_nodes(0.2, 5.0, 8, 4)
+    assert radial_log_nodes(0.2, 5.0, 8, 4)[0] is nodes
+    stack = _profile_stack(_bump(r3[1]).profile, nodes, 2)
+    for arr in (nodes, weights, stack):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_higher_order_request_recomputes_the_stack(r3):
+    prof = _bump(r3[1]).profile
+    nodes, _ = radial_log_nodes(0.2, 5.0, 8, 4)
+    low = _profile_stack(prof, nodes, 1)
+    high = _profile_stack(prof, nodes, 4)
+    np.testing.assert_array_equal(high, prof.derivatives(nodes, 4))
+    np.testing.assert_array_equal(low, high[:2])
+    assert np.shares_memory(_profile_stack(prof, nodes, 2), high)
+
+
+def test_derivative_chain_shares_its_roots_entry(r3):
+    prof = _bump(r3[1]).profile
+    second = prof.derivative(1).derivative(1)
+    assert second.root() == (prof, 2)
+    nodes, _ = radial_log_nodes(0.2, 5.0, 8, 4)
+    stack = _profile_stack(prof, nodes, 3)
+    got = _profile_stack(second, nodes, 1)
+    assert np.shares_memory(got, stack)
+    np.testing.assert_array_equal(got, prof.derivative(2).derivatives(nodes, 1))

@@ -242,6 +242,10 @@ _CONFIG_CASES = [
     ("verify", ("--count", "2", "--check", "higher"), "theta", "--theta", "0.25"),
     ("verify", ("--count", "2", "--check", "pair"), "m", "--m", "1"),
     ("verify", ("--check", "ckn"), "seed", "--seed", "5"),
+    # scalars arrive from the file as text and take the flag's conversion
+    ("verify", ("--check", "ckn"), "count", "--count", "2"),
+    ("verify", ("--count", "4", "--check", "ckn"), "radial_fraction", "--radial-fraction",
+     "0.5"),
 ]
 
 
@@ -258,6 +262,27 @@ def test_config_file_and_flag_give_the_same_document(tmp_path, command, fixed, k
     assert by_file == by_flag
     _, by_default = run(tmp_path, command, *fixed)
     assert by_default != by_flag  # the key changes the document
+
+
+@pytest.mark.parametrize("given", [
+    {"count": "two"}, {"radial_fraction": [0.5]}, {"allow_empty": "maybe"}, {"timestamp": 1},
+])
+def test_config_file_scalar_that_does_not_convert_exits_2(tmp_path, capsys, given):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(given))
+    code, _ = run(tmp_path, "verify", "--check", "ckn", "--config", str(cfg))
+    assert code == 2
+    assert f"bad value for {next(iter(given))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,code", [("false", 2), ("true", 0)])
+def test_config_file_allow_empty_parses_true_and_false(tmp_path, text, code):
+    # heis1 at theta = 1, k = 1 skips every field, so the run is empty
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"allow_empty": text}))
+    got, _ = run(tmp_path, "verify", "--group", "heis1", "--check", "higher", "--theta", "1",
+                 "--k", "1", "--count", "2", "--config", str(cfg))
+    assert got == code
 
 
 def _check_names():
