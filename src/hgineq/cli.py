@@ -8,18 +8,22 @@ Subcommands
 ``identity-check``  verify the exact L^2 remainder identity
 ``constants``       print the closed-form constants for given parameters
 
-Options may come from a JSON config file (``--config``); explicit flags
-override file values.  Exit status: 0 on success, 1 if any check failed
-or a requested sharpness target was missed, 2 on configuration errors.
+Every key is one row of :data:`KEYS`: its default, its conversion, its
+choices, its help and the subcommands that take it.  Each of those keys is
+a flag (``radial_order`` is ``--radial-order``) and a key of the JSON
+config file (``--config``); explicit flags override file values.  Exit
+status: 0 on success, 1 if any check failed or a requested sharpness target
+was missed, 2 on configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import itertools
 import json
 import sys
+from typing import Callable
 
 from . import __version__
 from .calculus import sphere_measure
@@ -33,203 +37,155 @@ from .norms import default_norm, make_norm
 from .quadrature import QuadratureConfig
 from .reports import ALIASES, CHECKS, VARIANTS, evaluate
 
-_DEFAULTS = {
-    "group": "r:3",
-    "norm": None,
-    "checks": ["ckn", "hardy"],
-    "p": [2.0],
-    "alpha": [0.0],
-    "beta": [1.0],
-    "theta": [1.0],
-    "k": [1],
-    "m": [0],
-    "count": 8,
-    "seed": 0,
-    "annulus": [0.2, 5.0],
-    "radial_fraction": 0.8,
-    "mode": "auto",
-    "format": "json",
-    "out": None,
-    "allow_empty": False,
-    "timestamp": False,
-    "quadrature": {},
-    "method": "auto",
-    "schedule": None,
-    "target_gap": None,
-}
 
-_CHECK_NAMES = (*CHECKS, *ALIASES, *VARIANTS)
-
-
-def _items(value, conv):
-    """A flag or file value as a list: comma-separated text, one value, or a
-    list of either."""
-    out = []
-    for v in value if isinstance(value, (list, tuple)) else [value]:
-        out += [conv(s) for s in v.split(",") if s.strip()] if isinstance(v, str) else [conv(v)]
-    return out
-
-
-def _schedule(text):
-    out = []
-    for part in _items(text, str):
-        eps, _, r_out = part.strip().partition(":")
-        try:
-            out.append((float(eps), float(r_out)))
-        except ValueError:
-            raise ConfigError(f"bad schedule entry {part!r} (want eps:r_out)") from None
-    return out
-
-
-def _flag(value):
-    """A JSON boolean, or the text ``true`` / ``false``."""
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
+def _flag(text):
+    """``true`` or ``false``."""
+    text = text.strip().lower()
     if text not in ("true", "false"):
-        raise ValueError(value)
+        raise ValueError(text)
     return text == "true"
 
 
-def _optional(conv):
-    return lambda value: None if value is None else conv(value)
+def _pair(text):
+    """A schedule entry ``eps:r_out``."""
+    eps, _, r_out = text.partition(":")
+    return float(eps), float(r_out)
 
 
-# list-valued keys, each with the conversion of one item
-_LISTS = {"p": float, "alpha": float, "beta": float, "theta": float, "k": int, "m": int,
-          "annulus": float, "checks": str.strip}
-# the other keys, each with its conversion (a file's values come untyped)
-_SCALARS = {"group": str, "norm": _optional(str), "mode": str, "format": str,
-            "out": _optional(str), "count": int, "seed": int, "radial_fraction": float,
-            "allow_empty": _flag, "timestamp": _flag, "method": str,
-            "schedule": _optional(_schedule), "target_gap": _optional(float)}
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One row of the key table.
+
+    ``conv`` turns the text of one item into its value; a ``many`` key is a
+    comma list of at least one item, each converted and checked against
+    ``choices``.  ``commands`` are the subcommands that take the key, and
+    ``flags`` are flag names beside ``--<key>``.  A ``_flag`` key is a
+    switch.
+    """
+
+    default: object
+    conv: Callable
+    commands: tuple
+    help: str
+    many: bool = False
+    choices: tuple = ()
+    flags: tuple = ()
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--group", help="group id: r:<n>, aniso:<w1,w2,...>, heis1")
-    sub.add_argument("--norm", help="quasi-norm: euclid, aniso, max, koranyi")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--resolution", type=int,
-                     help="shorthand: radial order and box points per axis")
-    sub.add_argument("--radial-order", type=int, dest="radial_order")
-    sub.add_argument("--radial-panels", type=int, dest="radial_panels")
-    sub.add_argument("--box-points", type=int, dest="box_points",
-                     help="box points per axis of the sphere measure's rule")
-    sub.add_argument("--mc-samples", type=int, dest="mc_samples")
-    sub.add_argument("--timestamp", action="store_true", default=None,
-                     help="embed a generation timestamp (breaks byte determinism)")
-    sub.add_argument("--verbose", action="store_true")
+_EVERY = ("verify", "scan-sharpness", "sphere-measure", "identity-check", "constants")
+_CORPUS = ("verify", "identity-check")
+_POINT = ("verify", "scan-sharpness", "constants")
+
+#: The run-config keys, in ``--help`` order.
+KEYS = {
+    "group": Key("r:3", str, _EVERY, "group id: r:<n>, aniso:<w1,w2,...>, heis1"),
+    "norm": Key(None, str, _EVERY, "quasi-norm: euclid, aniso, max, koranyi"),
+    "out": Key(None, str, _EVERY, "write the report here instead of stdout"),
+    "resolution": Key(None, int, _EVERY, "shorthand: radial order and box points per axis"),
+    "radial_order": Key(None, int, _EVERY,
+                        "Gauss order per radial panel; also sets the sphere rule's order"),
+    "radial_panels": Key(None, int, _EVERY, "least number of log-spaced radial panels"),
+    "box_points": Key(None, int, _EVERY, "box points per axis of the sphere measure's rule"),
+    "mc_samples": Key(None, int, _EVERY, "Monte Carlo samples of the sphere measure"),
+    "timestamp": Key(False, _flag, _EVERY,
+                     "embed a generation timestamp (breaks byte determinism)"),
+    "verbose": Key(False, _flag, _EVERY, "warn about each skipped grid point"),
+    "checks": Key(("ckn", "hardy"), str.strip, ("verify",), "comma list", many=True,
+                  choices=(*CHECKS, *ALIASES, *VARIANTS), flags=("--check",)),
+    "p": Key((2.0,), float, _POINT,
+             "comma list of integrability exponents (scan-sharpness: one)", many=True),
+    "alpha": Key((0.0,), float, (*_POINT, "identity-check"), "comma list", many=True),
+    "beta": Key((1.0,), float, _POINT, "comma list", many=True),
+    "theta": Key((1.0,), float, ("verify", "constants"), "comma list", many=True),
+    "k": Key((1,), int, ("verify", "identity-check", "constants"),
+             "comma list of derivative orders", many=True),
+    "m": Key((0,), int, ("verify", "constants"), "comma list of derivative orders",
+             many=True),
+    "count": Key(8, int, _CORPUS, "corpus size"),
+    "seed": Key(0, int, _CORPUS, "corpus seed"),
+    "annulus": Key((0.2, 5.0), float, ("verify", "sphere-measure", "identity-check"),
+                   "corpus support annulus lo,hi (sphere-measure: reference annulus, "
+                   "default 1,2)", many=True),
+    "radial_fraction": Key(0.8, float, ("verify",), "share of quasi-radial corpus fields"),
+    "mode": Key("auto", str, _CORPUS, "derivative mode",
+                choices=("auto", "analytic", "orbit_fd")),
+    "format": Key("json", str, _CORPUS, "output format", choices=("json", "csv")),
+    "allow_empty": Key(False, _flag, _CORPUS, "emit a document with no reports"),
+    "method": Key("auto", str, ("sphere-measure",), "method",
+                  choices=("auto", "smooth", "indicator", "mc")),
+    "schedule": Key(None, _pair, ("scan-sharpness",), "comma list of eps:r_out pairs",
+                    many=True),
+    "target_gap": Key(None, float, ("scan-sharpness",),
+                      "exit nonzero unless the best relative gap is below this"),
+}
+
+
+def _convert(key, value):
+    """The value of ``key`` from a flag's text or a config file's value.
+
+    A file value converts as its JSON text would as a flag (``2`` and
+    ``"2"`` alike; ``48.0`` is not an integer); a ``many`` key also takes a
+    list of items.  A value that does not convert is a :class:`ConfigError`.
+    """
+    row = KEYS[key]
+    if value is None and row.default is None:
+        return None
+    items = value if row.many and isinstance(value, list) else [value]
+    texts = [v if isinstance(v, str) else json.dumps(v) for v in items]
+    if row.many:
+        texts = [s for text in texts for s in text.split(",") if s.strip()]
+    try:
+        out = [row.conv(text) for text in texts]
+        if (row.many and not out) or any(row.choices and v not in row.choices for v in out):
+            raise ValueError(value)
+    except ValueError:
+        raise ConfigError(f"bad value for {key}: {value!r}") from None
+    return out if row.many else out[0]
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="hgineq", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"hgineq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = subs.add_parser("verify", help="run inequality checks over a corpus")
-    _add_common(p_verify)
-    p_verify.add_argument("--check", "--checks", dest="checks",
-                          help="comma list: " + ",".join(_CHECK_NAMES))
-    p_verify.add_argument("--p", help="comma list of integrability exponents")
-    p_verify.add_argument("--alpha", help="comma list")
-    p_verify.add_argument("--beta", help="comma list")
-    p_verify.add_argument("--theta", help="comma list")
-    p_verify.add_argument("--k", help="comma list of derivative orders")
-    p_verify.add_argument("--m", help="comma list of derivative orders")
-    p_verify.add_argument("--count", type=int, help="corpus size")
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--annulus", help="corpus support annulus lo,hi")
-    p_verify.add_argument("--radial-fraction", type=float, dest="radial_fraction")
-    p_verify.add_argument("--mode", choices=("auto", "analytic", "orbit_fd"))
-    p_verify.add_argument("--format", choices=("json", "csv"))
-    p_verify.add_argument("--allow-empty", action="store_true", default=None,
-                          dest="allow_empty")
-
-    p_scan = subs.add_parser("scan-sharpness", help="approach the sharp constant")
-    _add_common(p_scan)
-    p_scan.add_argument("--p", help="single exponent", default=None)
-    p_scan.add_argument("--alpha", default=None)
-    p_scan.add_argument("--beta", default=None)
-    p_scan.add_argument("--schedule", help="comma list of eps:r_out pairs")
-    p_scan.add_argument("--target-gap", type=float, dest="target_gap",
-                        help="exit nonzero unless the best relative gap is below this")
-
-    p_sigma = subs.add_parser("sphere-measure", help="unit-sphere area of a quasi-norm")
-    _add_common(p_sigma)
-    p_sigma.add_argument("--annulus", help="reference annulus lo,hi (default 1,2)")
-    p_sigma.add_argument("--method", choices=("auto", "smooth", "indicator", "mc"))
-
-    p_ident = subs.add_parser("identity-check", help="exact L^2 remainder identity")
-    _add_common(p_ident)
-    p_ident.add_argument("--alpha", help="comma list")
-    p_ident.add_argument("--k", help="comma list of derivative orders")
-    p_ident.add_argument("--count", type=int)
-    p_ident.add_argument("--seed", type=int)
-    p_ident.add_argument("--annulus", help="corpus support annulus lo,hi")
-    p_ident.add_argument("--mode", choices=("auto", "analytic", "orbit_fd"))
-    p_ident.add_argument("--format", choices=("json", "csv"))
-
-    p_const = subs.add_parser("constants", help="closed-form constants")
-    _add_common(p_const)
-    p_const.add_argument("--p", default=None)
-    p_const.add_argument("--alpha", default=None)
-    p_const.add_argument("--beta", default=None)
-    p_const.add_argument("--theta", default=None)
-    p_const.add_argument("--k", default=None)
-    p_const.add_argument("--m", default=None)
+    for command, (_, help_text) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON config file with these keys; flags override it")
+        for key, row in KEYS.items():
+            if command not in row.commands:
+                continue
+            names = (*row.flags, "--" + key.replace("_", "-"))
+            text = f"{row.help}: {','.join(row.choices)}" if row.choices else row.help
+            switch = {"action": "store_true"} if row.conv is _flag else {}
+            sub.add_argument(*names, dest=key, default=None, help=text, **switch)
     return parser
 
 
 def _merge(args):
-    """The run config: defaults, then the ``--config`` file, then flags.
+    """The run config: the table's defaults, then the ``--config`` file, then
+    flags.  A file may hold only the keys of ``args.command``.
 
     Returns the config and the set of keys the user set, by file or flag.
     """
-    cfg = copy.deepcopy(_DEFAULTS)
-    given = {}
-    if getattr(args, "config", None):
-        given = load_config_file(args.config)
-        unknown = set(given) - set(_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in (*_LISTS, *_SCALARS):
-        v = getattr(args, key, None)
-        if v is not None:
-            given[key] = v
-    for key, value in given.items():
-        if key in _LISTS or key in _SCALARS:
-            try:
-                value = _items(value, _LISTS[key]) if key in _LISTS else _SCALARS[key](value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {key}: {value!r}") from None
-        cfg[key] = value
-    quad = dict(cfg["quadrature"] or {})
-    res = getattr(args, "resolution", None)
-    if res is not None:
-        quad["radial_order"] = res
-        quad["box_points"] = res
-    for key in ("radial_order", "radial_panels", "box_points", "mc_samples"):
-        v = getattr(args, key, None)
-        if v is not None:
-            quad[key] = v
-    cfg["quadrature"] = quad
-    if not cfg["p"] or not cfg["alpha"] or not cfg["beta"]:
-        raise ConfigError("parameter lists must be nonempty")
-    bad = set(cfg["checks"]) - set(_CHECK_NAMES)
-    if bad:
-        raise ConfigError(f"unknown checks: {sorted(bad)}")
+    keys = [key for key, row in KEYS.items() if args.command in row.commands]
+    given = load_config_file(args.config) if args.config else {}
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    given.update({key: vars(args)[key] for key in keys if vars(args)[key] is not None})
+    cfg = {key: row.default for key, row in KEYS.items()}
+    cfg.update({key: _convert(key, value) for key, value in given.items()})
     return cfg, set(given)
 
 
 def _setup(cfg):
     group = parse_group(cfg["group"])
     norm = make_norm(group, cfg["norm"]) if cfg["norm"] else default_norm(group)
-    try:
-        quad = QuadratureConfig(**cfg["quadrature"]) if cfg["quadrature"] else QuadratureConfig()
-    except TypeError as exc:
-        raise ConfigError(f"bad quadrature config: {exc}") from None
-    return group, norm, quad
+    res = cfg["resolution"]
+    quad = {} if res is None else {"radial_order": res, "box_points": res}
+    for field in dataclasses.fields(QuadratureConfig):
+        if cfg[field.name] is not None:
+            quad[field.name] = cfg[field.name]
+    return group, norm, QuadratureConfig(**quad)
 
 
 def _expand(names):
@@ -253,22 +209,28 @@ def _points(check, cfg):
             yield row_id, point if variant is None else {**point, "variant": variant}
 
 
-def _run_grid(group, norm, fields, checks, cfg, quad, verbose):
+def _run_grid(group, norm, fields, checks, cfg, quad):
+    """Every check at every grid point on every field.  Fields go outermost,
+    so each field's derivative stacks stay cached across its checks; reports
+    and skipped points come back check-major, fields innermost."""
+    points = [(check, *point) for check in checks for point in _points(check, cfg)]
+    results = [[] for _ in points]
+    for f in fields:
+        for (_, row_id, params), out in zip(points, results):
+            try:
+                out.append(evaluate(row_id, group, norm, f, params, quad, cfg["mode"]))
+            except (DegenerateConstantError, InvalidParameterError) as exc:
+                out.append(exc)
     reports, skipped = [], []
-    for check in checks:
-        for row_id, params in _points(check, cfg):
-            for f in fields:
-                try:
-                    reports.append(evaluate(row_id, group, norm, f, params, quad, cfg["mode"]))
-                except (DegenerateConstantError, InvalidParameterError) as exc:
-                    skipped.append(
-                        {"check": check, "field": f.field_id, "params": params,
-                         "reason": str(exc)}
-                    )
-                    if verbose:
-                        print(
-                            f"warning: skipped {check} {params}: {exc}", file=sys.stderr
-                        )
+    for (check, _, params), out in zip(points, results):
+        for f, result in zip(fields, out):
+            if not isinstance(result, Exception):
+                reports.append(result)
+                continue
+            skipped.append({"check": check, "field": f.field_id, "params": params,
+                            "reason": str(result)})
+            if cfg["verbose"]:
+                print(f"warning: skipped {check} {params}: {result}", file=sys.stderr)
     return reports, skipped
 
 
@@ -280,31 +242,28 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _cmd_verify(args):
-    cfg, _ = _merge(args)
+def _run_corpus(cfg, checks, meta):
+    """Run ``checks`` over the corpus of ``cfg`` and emit the report document
+    with ``meta``; returns the reports and the skipped points."""
     group, norm, quad = _setup(cfg)
-    corpus_spec = CorpusSpec(
-        count=cfg["count"],
-        seed=cfg["seed"],
-        annulus=tuple(cfg["annulus"]),
-        radial_fraction=cfg["radial_fraction"],
-    )
+    corpus_spec = CorpusSpec(count=cfg["count"], seed=cfg["seed"],
+                             annulus=tuple(cfg["annulus"]),
+                             radial_fraction=cfg["radial_fraction"])
     fields = make_corpus(group, norm, corpus_spec)
-    checks = _expand(cfg["checks"])
-    reports, skipped = _run_grid(group, norm, fields, checks, cfg, quad, args.verbose)
-    meta = {
-        "command": "verify",
-        "group": group.name,
-        "norm": norm.kind,
-        "checks": checks,
-        "corpus": {"count": cfg["count"], "seed": cfg["seed"],
-                   "annulus": list(cfg["annulus"]),
-                   "radial_fraction": cfg["radial_fraction"]},
-        "skipped": skipped,
-    }
+    reports, skipped = _run_grid(group, norm, fields, checks, cfg, quad)
+    meta = {**meta, "group": group.name, "norm": norm.kind, "skipped": skipped}
     text = write_reports(reports, path=None, fmt=cfg["format"], meta=meta,
-                         timestamp=bool(cfg["timestamp"]), allow_empty=cfg["allow_empty"])
+                         timestamp=cfg["timestamp"], allow_empty=cfg["allow_empty"])
     _emit(text, cfg["out"])
+    return reports, skipped
+
+
+def _cmd_verify(cfg, given):
+    checks = _expand(cfg["checks"])
+    corpus = {"count": cfg["count"], "seed": cfg["seed"], "annulus": list(cfg["annulus"]),
+              "radial_fraction": cfg["radial_fraction"]}
+    reports, skipped = _run_corpus(cfg, checks, {"command": "verify", "checks": checks,
+                                                 "corpus": corpus})
     bad = [r for r in reports if not r.satisfied]
     print(
         f"verify: {len(reports)} checks, {len(reports) - len(bad)} satisfied, "
@@ -314,15 +273,14 @@ def _cmd_verify(args):
     return 1 if bad else 0
 
 
-def _cmd_scan(args):
-    cfg, _ = _merge(args)
+def _cmd_scan(cfg, given):
     group, norm, quad = _setup(cfg)
     if len(cfg["p"]) != 1 or len(cfg["alpha"]) != 1 or len(cfg["beta"]) != 1:
         raise ConfigError("scan-sharpness takes single p, alpha, beta values")
-    schedule, target_gap = cfg["schedule"] or None, cfg["target_gap"]
+    target_gap = cfg["target_gap"]
     scan = sharpness_scan(
         group, norm, cfg["p"][0], cfg["alpha"][0], cfg["beta"][0],
-        schedule=schedule, config=quad,
+        schedule=cfg["schedule"], config=quad,
     )
     doc = scan.to_dict()
     # attained quotients may only approach the sharp constant from above;
@@ -358,31 +316,18 @@ def _cmd_scan(args):
     return 0
 
 
-def _cmd_sigma(args):
-    cfg, given = _merge(args)
+def _cmd_sigma(cfg, given):
     group, norm, quad = _setup(cfg)
-    annulus = tuple(cfg["annulus"]) if "annulus" in given else (1.0, 2.0)
-    sm = sphere_measure(group, norm, annulus=annulus, config=quad, method=cfg["method"])
+    annulus = {"annulus": tuple(cfg["annulus"])} if "annulus" in given else {}
+    sm = sphere_measure(group, norm, config=quad, method=cfg["method"], **annulus)
     _emit(json.dumps(sm.to_dict(), indent=2, sort_keys=True) + "\n", cfg["out"])
     print(f"sphere-measure: {sm.value:.12g} +/- {sm.error:.3g} ({sm.method})",
           file=sys.stderr)
     return 0
 
 
-def _cmd_identity(args):
-    cfg, _ = _merge(args)
-    group, norm, quad = _setup(cfg)
-    corpus_spec = CorpusSpec(
-        count=cfg["count"], seed=cfg["seed"], annulus=tuple(cfg["annulus"])
-    )
-    fields = make_corpus(group, norm, corpus_spec)
-    reports, skipped = _run_grid(group, norm, fields, ["l2-identity"], cfg, quad,
-                                 args.verbose)
-    meta = {"command": "identity-check", "group": group.name, "norm": norm.kind,
-            "skipped": skipped}
-    text = write_reports(reports, path=None, fmt=cfg["format"], meta=meta,
-                         timestamp=bool(cfg["timestamp"]), allow_empty=cfg["allow_empty"])
-    _emit(text, cfg["out"])
+def _cmd_identity(cfg, given):
+    reports, _ = _run_corpus(cfg, ["l2-identity"], {"command": "identity-check"})
     bad = [r for r in reports if not r.satisfied]
     print(
         f"identity-check: {len(reports)} identities, {len(bad)} out of tolerance",
@@ -391,12 +336,11 @@ def _cmd_identity(args):
     return 1 if bad else 0
 
 
-def _cmd_constants(args):
-    cfg, given = _merge(args)
+def _cmd_constants(cfg, given):
     group, _, _ = _setup(cfg)
 
     def first(key):
-        return cfg[key][0] if key in given and cfg[key] else None
+        return cfg[key][0] if key in given else None
 
     q_dim = group.homogeneous_dimension
     table = constant_table(
@@ -414,22 +358,18 @@ def _cmd_constants(args):
 
 
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "scan-sharpness": _cmd_scan,
-    "sphere-measure": _cmd_sigma,
-    "identity-check": _cmd_identity,
-    "constants": _cmd_constants,
+    "verify": (_cmd_verify, "run inequality checks over a corpus"),
+    "scan-sharpness": (_cmd_scan, "approach the sharp constant"),
+    "sphere-measure": (_cmd_sigma, "unit-sphere area of a quasi-norm"),
+    "identity-check": (_cmd_identity, "exact L^2 remainder identity"),
+    "constants": (_cmd_constants, "closed-form constants"),
 }
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command][0](*_merge(args))
     except HgineqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

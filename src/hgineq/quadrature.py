@@ -34,7 +34,8 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,6 +69,11 @@ class QuadratureConfig:
     mc_samples: int = 2_000_000
 
     def __post_init__(self):
+        for f in fields(self):  # every knob is a count; numpy integers become ints
+            try:
+                object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
+            except TypeError:
+                raise InvalidParameterError(f"{f.name} must be an integer") from None
         if self.radial_order < 2 or self.box_points < 2:
             raise InvalidParameterError("quadrature orders must be >= 2")
         if self.radial_panels < 1:

@@ -1,10 +1,17 @@
+import collections
+import contextlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hgineq.cli import main
+from hgineq import cli
+from hgineq.cli import _COMMANDS, KEYS, main
+from hgineq.profiles import RadialProfile
 from hgineq.reports import ALIASES, CHECKS, VARIANTS
 
 
@@ -90,6 +97,25 @@ def test_verify_empty_without_flag_is_config_error(tmp_path):
         "--theta", "1", "--k", "1", "--count", "2",
     )
     assert code == 2
+
+
+def test_verify_computes_each_fields_stack_once_per_node_set_and_order(tmp_path, monkeypatch):
+    fields, calls = [], collections.defaultdict(list)
+    make, derivatives = cli.make_corpus, RadialProfile.derivatives
+
+    def counting(self, r, order):
+        calls[id(self)].append(order)
+        return derivatives(self, r, order)
+
+    monkeypatch.setattr(cli, "make_corpus", lambda *args: fields.extend(make(*args)) or fields)
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    code, _ = run(tmp_path, "verify", "--group", "heis1", "--check", "ckn,hardy",
+                  "--p", "1.5,2,3", "--count", "4", "--radial-fraction", "1")
+    assert code == 0 and len(fields) == 4
+    # the full and the coarse radial node set, each at every order asked for
+    for f in fields:
+        orders = calls[id(f.profile)]
+        assert 0 < len(orders) <= 2 * len(set(orders)), (f.field_id, orders)
 
 
 def test_verify_unknown_check(tmp_path):
@@ -221,7 +247,7 @@ def test_version_flag(capsys):
     assert "hgineq" in capsys.readouterr().out
 
 
-# each case: subcommand, fixed flags, config key, flag, value
+# each case: subcommand, fixed flags, config key, flag, value (None for a switch)
 _CONFIG_CASES = [
     ("constants", ("--group", "heis1"), "p", "--p", "3"),
     ("constants", ("--group", "heis1"), "alpha", "--alpha", "1"),
@@ -241,31 +267,123 @@ _CONFIG_CASES = [
     ("verify", ("--count", "2"), "checks", "--check", "hardy,up1p"),
     ("verify", ("--count", "2", "--check", "higher"), "theta", "--theta", "0.25"),
     ("verify", ("--count", "2", "--check", "pair"), "m", "--m", "1"),
+    ("verify", ("--count", "2", "--check", "higher"), "k", "--k", "2"),
     ("verify", ("--check", "ckn"), "seed", "--seed", "5"),
     # scalars arrive from the file as text and take the flag's conversion
     ("verify", ("--check", "ckn"), "count", "--count", "2"),
     ("verify", ("--count", "4", "--check", "ckn"), "radial_fraction", "--radial-fraction",
      "0.5"),
+    # the quadrature keys are flat
+    ("verify", ("--check", "ckn", "--count", "2"), "radial_order", "--radial-order", "48"),
+    ("sphere-measure", ("--group", "r:2"), "resolution", "--resolution", "24"),
+    ("constants", ("--p", "3"), "group", "--group", "heis1"),
+    ("identity-check", (), "count", "--count", "2"),
+    # a field is skipped at k = 0, so these switches change the exit code or stderr
+    ("verify", ("--check", "higher", "--k", "0", "--count", "2"), "allow_empty",
+     "--allow-empty", None),
+    ("identity-check", ("--k", "0", "--count", "2"), "allow_empty", "--allow-empty", None),
+    ("verify", ("--check", "higher", "--k", "0,1", "--count", "2"), "verbose", "--verbose",
+     None),
+    ("identity-check", ("--k", "0,1", "--count", "2"), "verbose", "--verbose", None),
 ]
 
+# the other (subcommand, key) pairs of the table take these fixed flags and values
+_FIXED = {
+    "verify": ("--check", "ckn", "--count", "2"),
+    "scan-sharpness": ("--schedule", "1e-2:1e2"),
+    "sphere-measure": ("--group", "r:2", "--resolution", "16"),
+    "identity-check": ("--count", "2"),
+    "constants": ("--group", "heis1", "--alpha", "1"),
+}
+_SAMPLES = {
+    "group": "aniso:1,2", "norm": "max", "out": "{tmp}/doc.json", "resolution": "24",
+    "radial_order": "48", "radial_panels": "4", "box_points": "24", "mc_samples": "1000",
+    "timestamp": None, "verbose": None, "p": "3", "alpha": "0.5", "beta": "0.5",
+    "k": "2", "seed": "5", "annulus": "0.5,4", "mode": "orbit_fd", "format": "csv",
+}
+# pairs whose key does not reach that subcommand's output
+_INERT = {
+    *(("constants", key) for key in ("norm", "resolution", "radial_order", "radial_panels",
+                                     "box_points", "mc_samples", "timestamp", "verbose")),
+    *((command, key) for command in ("scan-sharpness", "sphere-measure")
+      for key in ("timestamp", "verbose")),
+}
 
-@pytest.mark.parametrize("command,fixed,key,flag,value", _CONFIG_CASES,
-                         ids=[f"{c[0]}-{c[2]}" for c in _CONFIG_CASES])
-def test_config_file_and_flag_give_the_same_document(tmp_path, command, fixed, key, flag,
-                                                     value):
+
+def _config_cases():
+    explicit = {(case[0], case[2]): case for case in _CONFIG_CASES}
+    for key, row in KEYS.items():
+        for command in row.commands:
+            yield explicit.get((command, key)) or (
+                command, _FIXED[command], key, "--" + key.replace("_", "-"), _SAMPLES[key])
+
+
+def _outcome(tmp_path, capsys, argv):
+    """Exit code, stdout, the ``{tmp}/doc.json`` file and stderr of one run."""
+    doc = tmp_path / "doc.json"
+    doc.unlink(missing_ok=True)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    text = doc.read_text() if doc.exists() else None
+    stamp = re.compile(r'"generated_at": "[^"]*"')
+    return code, stamp.sub("", out), text and stamp.sub("", text), err
+
+
+@pytest.mark.parametrize("command,fixed,key,flag,value", list(_config_cases()),
+                         ids=[f"{c[0]}-{c[2]}" for c in _config_cases()])
+def test_config_file_and_flag_give_the_same_document(tmp_path, capsys, command, fixed, key,
+                                                     flag, value):
+    if value is None:
+        by_flag, file_values = [flag], [True, "true"]
+    else:
+        value = value.replace("{tmp}", str(tmp_path))
+        by_flag, file_values = [f"{flag}={value}"], [value]
+        with contextlib.suppress(ValueError):
+            file_values.append(json.loads(value))  # a number also as a JSON number
+    got = _outcome(tmp_path, capsys, [command, *fixed, *by_flag])
+    assert got[0] == 0
     cfg = tmp_path / "run.json"
-    file_value = int(value) if key == "seed" else value
-    cfg.write_text(json.dumps({key: file_value}))
-    code_flag, by_flag = run(tmp_path, command, *fixed, f"{flag}={value}")
-    code_file, by_file = run(tmp_path, command, *fixed, "--config", str(cfg))
-    assert code_flag == code_file == 0
-    assert by_file == by_flag
-    _, by_default = run(tmp_path, command, *fixed)
-    assert by_default != by_flag  # the key changes the document
+    for file_value in file_values:
+        cfg.write_text(json.dumps({key: file_value}))
+        assert _outcome(tmp_path, capsys, [command, *fixed, "--config", str(cfg)]) == got
+    by_default = _outcome(tmp_path, capsys, [command, *fixed])
+    assert (by_default == got) == ((command, key) in _INERT)
+
+
+def test_config_cases_cover_the_table():
+    pairs = {(command, key) for key, row in KEYS.items() for command in row.commands}
+    assert {(case[0], case[2]) for case in _config_cases()} == pairs
+    assert {(case[0], case[2]) for case in _CONFIG_CASES} <= pairs
+    assert _INERT <= pairs
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_lists_exactly_the_flags_of_the_table(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    expected = {"--help", "--config"}
+    for key, row in KEYS.items():
+        if command in row.commands:
+            expected |= {*row.flags, "--" + key.replace("_", "-")}
+    assert listed == expected
+
+
+def test_readme_lists_the_keys_of_each_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    common = re.search(r"Every subcommand takes the keys(.*?)\. Each", readme, re.S).group(1)
+    for command in _COMMANDS:
+        line = re.search(rf"^- `{command}`: (.*)$", readme, re.M).group(1)
+        keys = [key for key, row in KEYS.items() if command in row.commands]
+        assert sorted(re.findall(r"`([^`]+)`", common + line)) == sorted(keys), command
 
 
 @pytest.mark.parametrize("given", [
     {"count": "two"}, {"radial_fraction": [0.5]}, {"allow_empty": "maybe"}, {"timestamp": 1},
+    {"radial_order": 48.0},
+    # file values are checked against the choices
+    {"mode": "orbit-fd", "allow_empty": True}, {"format": "xml"},
 ])
 def test_config_file_scalar_that_does_not_convert_exits_2(tmp_path, capsys, given):
     cfg = tmp_path / "run.json"
@@ -273,6 +391,23 @@ def test_config_file_scalar_that_does_not_convert_exits_2(tmp_path, capsys, give
     code, _ = run(tmp_path, "verify", "--check", "ckn", "--config", str(cfg))
     assert code == 2
     assert f"bad value for {next(iter(given))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,given", [
+    # the quadrature keys are flat
+    ("verify", {"quadrature": {"radial_order": 48.0}}),
+    ("verify", {"quadrature": [1]}),
+    # keys of another subcommand
+    ("identity-check", {"radial_fraction": 0.0}),
+    ("constants", {"count": 2}),
+])
+def test_config_file_key_the_subcommand_does_not_take_exits_2(tmp_path, capsys, command,
+                                                              given):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(given))
+    code, _ = run(tmp_path, command, "--config", str(cfg))
+    assert code == 2
+    assert f"unknown config keys for {command}: {sorted(given)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,code", [("false", 2), ("true", 0)])
@@ -313,3 +448,12 @@ def test_verify_runs_every_check_id(tmp_path, monkeypatch, capsys, name):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     paragraph = re.search(r"Check ids for `verify --check`:(.*?)\n\n", readme, re.S).group(1)
     assert set(re.findall(r"`([^`]+)`", paragraph)) == set(_check_names())
+
+
+def test_shell_demo_runs():
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    demo = root / "demos" / "batch_verification_from_the_shell.py"
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

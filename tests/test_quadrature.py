@@ -26,6 +26,19 @@ def test_config_validation_and_digest():
     assert cfg.doubled().digest() != d1
 
 
+
+@pytest.mark.parametrize("name", ["radial_order", "radial_panels", "box_points", "mc_samples"])
+@pytest.mark.parametrize("value", [48.0, "48", None])
+def test_config_rejects_a_non_integer_count(name, value):
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        QuadratureConfig(**{name: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = QuadratureConfig(radial_order=np.int64(48), box_points=np.int32(48))
+    assert type(cfg.radial_order) is int and type(cfg.box_points) is int
+    assert cfg.digest() == QuadratureConfig(radial_order=48, box_points=48).digest()
+
 def test_radial_vs_scipy_gaussian():
     val, err = integrate_radial(lambda r: np.exp(-(r**2)), 1e-8, 40.0, QuadratureConfig())
     oracle, _ = quad(lambda r: np.exp(-(r**2)), 1e-8, 40.0)
