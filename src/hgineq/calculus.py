@@ -29,8 +29,17 @@ that field; :func:`_profile_stack` keeps a fixed number of stacks.
 
 Every other field is integrated on the grid of log-panel radii times the
 nodes of :func:`~hgineq.quadrature.sphere_rule`: a product field's values
-there are an ``(R x M) @ (M x S)`` product of its orbit profiles and
-sphere monomials; any other field is evaluated at the points ``D_r w``.
+there are an ``(R x M) @ (M x S)`` product of its orbit profiles (their
+profile stack comes from :func:`_profile_stack`) and sphere monomials.
+A field made by orbit finite differences along the orbits of the
+integration norm takes the grid form of its stencil: the grid already
+holds ``r = N(x)`` and ``w = D_(1/r) x``, so its base is evaluated at
+``D_t w`` for the stencil radii ``t = r + o h`` (``h`` proportional to
+``r``), built on the ``(R,)`` radii and broadcast against the sphere
+nodes; the pointwise closure (:func:`_orbit_fd_values`) shares the
+stencil.  Any other field is evaluated at the points ``D_r w``, and
+:func:`_samples` keeps those values for a fixed number of node sets, so
+the norms of one field on one grid share one evaluation.
 """
 
 from __future__ import annotations
@@ -83,12 +92,29 @@ def _compatible(field_norm, norm):
     )
 
 
-def _orbit_fd_values(group, norm, f, k):
-    """Values closure for R^k f via central differences along orbits."""
+def _orbit_fd(k, r, sample):
+    """``R^k`` at radii ``r`` by central differences along the orbits, with
+    Richardson extrapolation.  ``sample(t)`` gives the base field at radii
+    ``t`` (shape ``(O,) + r.shape``, one row per stencil offset) on the
+    orbits of ``r``: shape ``t.shape`` plus any trailing axes."""
     offsets, coeffs = _ORBIT_FD_STENCILS[k]
-    offsets = np.asarray(offsets, dtype=float)
+    offsets = np.asarray(offsets, dtype=float).reshape((-1,) + (1,) * r.ndim)
     coeffs = np.asarray(coeffs)
-    rel = _ORBIT_FD_STEP.get(k, 1e-3)
+
+    def stencil_sum(h):
+        vals = sample(r + offsets * h)
+        h = h.reshape(h.shape + (1,) * (vals.ndim - 1 - h.ndim))
+        return np.tensordot(coeffs, vals, axes=(0, 0)) / h**k
+
+    h = _ORBIT_FD_STEP.get(k, 1e-3) * r
+    d1 = stencil_sum(h)
+    d2 = stencil_sum(0.5 * h)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _orbit_fd_values(group, norm, f, k):
+    """Values closure for R^k f via central differences along orbits: the
+    orbit through ``x`` is ``t -> D_t w`` with ``w = D_(1/N(x)) x``."""
     w = group.weight_array()
 
     def values(x):
@@ -100,16 +126,11 @@ def _orbit_fd_values(group, norm, f, k):
             raise SingularPointError("radial derivative undefined at the origin")
         xhat = pts * r[..., None] ** (-w)
 
-        def stencil_sum(h):
-            t = r[None, ...] + offsets.reshape((-1,) + (1,) * r.ndim) * h[None, ...]
+        def sample(t):
             orbit_pts = t[..., None] ** w * xhat[None, ...]
-            vals = f.values(orbit_pts.reshape((-1,) + pts.shape[-1:])).reshape(t.shape)
-            return np.tensordot(coeffs, vals, axes=(0, 0)) / h**k
+            return f.values(orbit_pts.reshape((-1,) + pts.shape[-1:])).reshape(t.shape)
 
-        h = rel * r
-        d1 = stencil_sum(h)
-        d2 = stencil_sum(0.5 * h)
-        out = (4.0 * d2 - d1) / 3.0
+        out = _orbit_fd(k, r, sample)
         return out[0] if single else out
 
     return values
@@ -175,6 +196,7 @@ def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
         field_id=tag,
         structure="generic",
         norm=f.norm,
+        orbit_fd=(f, k, norm),
     )
 
 
@@ -391,14 +413,53 @@ def _radial_range(f, norm):
             r1 * float(norm(other.bounding_halfwidths(1.0))))
 
 
+#: samples kept: an opaque field's values on the full and the coarse grid
+#: of two fields
+_SAMPLE_ENTRIES = 4
+_SAMPLES = []  # (values callable, radial nodes, sphere nodes, read-only samples)
+
+
+def _on_orbits(group, f, t, nodes):
+    """``f(D_t w)`` at radii ``t`` (any shape) and sphere nodes ``w``
+    ``(S, n)``: shape ``t.shape + (S,)``."""
+    pts = t[..., None, None] ** group.weight_array() * nodes
+    return np.asarray(f.values(pts.reshape(-1, group.dim))).reshape(t.shape + (len(nodes),))
+
+
+def _samples(group, f, r, nodes):
+    """:func:`_on_orbits` on a grid, kept for the last few (values
+    callable, radial nodes, sphere nodes) triples, matched by identity:
+    the norms of one field on one node set share one evaluation."""
+    for i, entry in enumerate(_SAMPLES):
+        if entry[0] is f.values and entry[1] is r and entry[2] is nodes:
+            del _SAMPLES[i]
+            break
+    else:
+        vals = _on_orbits(group, f, r, nodes)
+        vals.flags.writeable = False
+        entry = (f.values, r, nodes, vals)
+    _SAMPLES.append(entry)
+    del _SAMPLES[:-_SAMPLE_ENTRIES]
+    return entry[3]
+
+
 def _grid_values(group, norm, f, r, nodes):
-    """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n): (R, S)."""
+    """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n): (R, S).
+
+    A product field is a matrix product of its orbit profiles and sphere
+    monomials.  A field made by orbit finite differences along the orbits
+    of ``norm`` samples its base at the stencil radii around ``r`` on the
+    same sphere nodes.  Any other field is evaluated at the points.
+    """
     if f.structure == "product" and _compatible(f.norm, norm):
         mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
         degs = f.poly.weighted_degrees(group.weights)
-        return orbit_profiles(f.profile, degs, f.order, r) @ mono.T
-    pts = r[:, None, None] ** group.weight_array() * nodes[None]
-    return np.asarray(f.values(pts.reshape(-1, group.dim))).reshape(len(r), len(nodes))
+        stack = _profile_stack(f.profile, r, f.order)
+        return orbit_profiles(f.profile, degs, f.order, r, stack) @ mono.T
+    if f.orbit_fd is not None and _compatible(f.orbit_fd[2], norm):
+        base, k, _ = f.orbit_fd
+        return _orbit_fd(k, r, lambda t: _on_orbits(group, base, t, nodes))
+    return _samples(group, f, r, nodes)
 
 
 def _polar_integral(group, norm, f, parts, p, config):
@@ -460,7 +521,7 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
 
     value = total ** (1.0 / p)
     if value > 0:
-        error = value * total_err / (p * total)
+        error = value * (total_err / total) / p
     else:
         error = total_err ** (1.0 / p)
     return value, error

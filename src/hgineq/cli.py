@@ -73,23 +73,24 @@ class Key:
 
 
 _EVERY = ("verify", "scan-sharpness", "sphere-measure", "identity-check", "constants")
+_NUMERIC = ("verify", "scan-sharpness", "sphere-measure", "identity-check")
 _CORPUS = ("verify", "identity-check")
 _POINT = ("verify", "scan-sharpness", "constants")
 
 #: The run-config keys, in ``--help`` order.
 KEYS = {
     "group": Key("r:3", str, _EVERY, "group id: r:<n>, aniso:<w1,w2,...>, heis1"),
-    "norm": Key(None, str, _EVERY, "quasi-norm: euclid, aniso, max, koranyi"),
+    "norm": Key(None, str, _NUMERIC, "quasi-norm: euclid, aniso, max, koranyi"),
     "out": Key(None, str, _EVERY, "write the report here instead of stdout"),
-    "resolution": Key(None, int, _EVERY, "shorthand: radial order and box points per axis"),
-    "radial_order": Key(None, int, _EVERY,
+    "resolution": Key(None, int, _NUMERIC, "shorthand: radial order and box points per axis"),
+    "radial_order": Key(None, int, _NUMERIC,
                         "Gauss order per radial panel; also sets the sphere rule's order"),
-    "radial_panels": Key(None, int, _EVERY, "least number of log-spaced radial panels"),
-    "box_points": Key(None, int, _EVERY, "box points per axis of the sphere measure's rule"),
-    "mc_samples": Key(None, int, _EVERY, "Monte Carlo samples of the sphere measure"),
-    "timestamp": Key(False, _flag, _EVERY,
+    "radial_panels": Key(None, int, _NUMERIC, "least number of log-spaced radial panels"),
+    "box_points": Key(None, int, _NUMERIC, "box points per axis of the sphere measure's rule"),
+    "mc_samples": Key(None, int, _NUMERIC, "Monte Carlo samples of the sphere measure"),
+    "timestamp": Key(False, _flag, _CORPUS,
                      "embed a generation timestamp (breaks byte determinism)"),
-    "verbose": Key(False, _flag, _EVERY, "warn about each skipped grid point"),
+    "verbose": Key(False, _flag, _CORPUS, "warn about each skipped grid point"),
     "checks": Key(("ckn", "hardy"), str.strip, ("verify",), "comma list", many=True,
                   choices=(*CHECKS, *ALIASES, *VARIANTS), flags=("--check",)),
     "p": Key((2.0,), float, _POINT,
@@ -148,7 +149,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"hgineq {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+        sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
         sub.add_argument("--config", help="JSON config file with these keys; flags override it")
         for key, row in KEYS.items():
             if command not in row.commands:
@@ -162,18 +163,21 @@ def build_parser():
 
 def _merge(args):
     """The run config: the table's defaults, then the ``--config`` file, then
-    flags.  A file may hold only the keys of ``args.command``.
+    flags.  A file may hold only the keys of ``args.command``, and each of
+    its values is converted even where a flag replaces it.
 
     Returns the config and the set of keys the user set, by file or flag.
     """
     keys = [key for key, row in KEYS.items() if args.command in row.commands]
-    given = load_config_file(args.config) if args.config else {}
-    unknown = set(given) - set(keys)
+    file = load_config_file(args.config) if args.config else {}
+    unknown = set(file) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    given.update({key: vars(args)[key] for key in keys if vars(args)[key] is not None})
+    given = {key: _convert(key, value) for key, value in file.items()}
+    given.update({key: _convert(key, vars(args)[key]) for key in keys
+                  if vars(args)[key] is not None})
     cfg = {key: row.default for key, row in KEYS.items()}
-    cfg.update({key: _convert(key, value) for key, value in given.items()})
+    cfg.update(given)
     return cfg, set(given)
 
 
@@ -337,7 +341,7 @@ def _cmd_identity(cfg, given):
 
 
 def _cmd_constants(cfg, given):
-    group, _, _ = _setup(cfg)
+    group = parse_group(cfg["group"])
 
     def first(key):
         return cfg[key][0] if key in given else None

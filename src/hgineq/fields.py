@@ -100,7 +100,9 @@ class ScalarField:
     ``values`` maps ``(..., n) -> (...)``; ``gradient`` (may be ``None``)
     maps ``(..., n) -> (..., n)``.  ``support`` is an annulus in the
     field's own ``norm``.  A product field with ``order = k`` is
-    ``R^k [g(N) q]``.
+    ``R^k [g(N) q]``; a field made by orbit finite differences records
+    ``orbit_fd = (base, k, norm)``: it is ``R^k base`` along the orbits
+    of ``norm``.
     """
 
     values: callable = field(repr=False)
@@ -112,6 +114,7 @@ class ScalarField:
     profile: RadialProfile = field(default=None, repr=False)
     poly: PolyFactor = None
     order: int = 0
+    orbit_fd: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.support is not None:
@@ -198,14 +201,16 @@ def _falling(d, i):
     return out
 
 
-def orbit_profiles(profile, degs, k, r):
+def orbit_profiles(profile, degs, k, r, stack=None):
     """``H_m(r) = d^k/dr^k [r^(d_m) g(r)]`` for a profile ``g`` and each
     weighted degree ``d_m``; shape ``r.shape + (M,)``.
 
     Along the orbit through ``w`` on the unit sphere, the product field
     ``R^k [g(N) q]`` takes the values ``sum_m c_m w^(e_m) H_m(r)``.
+    ``stack`` is ``profile.derivatives(r, k)`` when the caller has it.
     """
-    stack = profile.derivatives(r, k)
+    if stack is None:
+        stack = profile.derivatives(r, k)
     return np.stack([
         sum(comb(k, i) * _falling(d, i) * r ** (d - i) * stack[k - i] for i in range(k + 1))
         for d in degs

@@ -336,9 +336,11 @@ _GRID = [
 _GRID_ORDERS = (0, 1, 2)
 
 
-def _corpus_field(group, norm):
-    """A newly built quasi-radial corpus field: equal values, no shared objects."""
-    return make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=1.0))[0]
+def _corpus_field(group, norm, radial_fraction=1.0):
+    """A newly built corpus field, quasi-radial by default: equal values, no
+    shared objects."""
+    spec = CorpusSpec(count=1, seed=3, radial_fraction=radial_fraction)
+    return make_corpus(group, norm, spec)[0]
 
 
 def _report(check, group, norm, f, point):
@@ -359,6 +361,17 @@ def test_cached_stacks_give_the_reports_of_a_fresh_field(name):
         assert _report(check, group, norm, f, point) == fresh, (check, point)
 
 
+@pytest.mark.parametrize("name", ["r:3", "heis1", "aniso:1,2"])
+def test_cached_stacks_give_the_product_reports_of_a_fresh_field(name):
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = _corpus_field(group, norm, radial_fraction=0.0)
+    assert f.structure == "product"
+    for check, point in _GRID:
+        fresh = _report(check, group, norm, _corpus_field(group, norm, 0.0), point)
+        assert _report(check, group, norm, f, point) == fresh, (check, point)
+
+
 def test_one_fields_grid_evaluates_its_stack_once_per_node_set_and_order(heis, monkeypatch):
     group, norm = heis
     f = _corpus_field(group, norm)
@@ -375,6 +388,18 @@ def test_one_fields_grid_evaluates_its_stack_once_per_node_set_and_order(heis, m
         _report(check, group, norm, f, point)
     # the full and the coarse radial node set, each at every order asked for
     assert 0 < len(calls) <= 2 * len(_GRID_ORDERS)
+
+
+def test_lp_norm_error_of_a_huge_field_is_finite(r3):
+    group, norm = r3
+    # ||f||_1.5^1.5 is about 1e205 at c = 1e136, and value * total_err overflows
+    errors = []
+    for c in (1.0, 1e136):
+        f = radial_field(constant_profile(c), norm, support=(1.0, 2.0))
+        value, err = weighted_lp_norm(group, norm, f, 0.0, 1.5)
+        assert math.isfinite(err)
+        errors.append(err / value)
+    assert errors[1] == pytest.approx(errors[0], rel=1e-9)
 
 
 def test_stack_cache_and_node_memo_stay_bounded(r3, config):

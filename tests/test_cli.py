@@ -287,7 +287,7 @@ _CONFIG_CASES = [
     ("identity-check", ("--k", "0,1", "--count", "2"), "verbose", "--verbose", None),
 ]
 
-# the other (subcommand, key) pairs of the table take these fixed flags and values
+# every other (subcommand, key) pair takes these fixed flags and values
 _FIXED = {
     "verify": ("--check", "ckn", "--count", "2"),
     "scan-sharpness": ("--schedule", "1e-2:1e2"),
@@ -298,22 +298,19 @@ _FIXED = {
 _SAMPLES = {
     "group": "aniso:1,2", "norm": "max", "out": "{tmp}/doc.json", "resolution": "24",
     "radial_order": "48", "radial_panels": "4", "box_points": "24", "mc_samples": "1000",
-    "timestamp": None, "verbose": None, "p": "3", "alpha": "0.5", "beta": "0.5",
-    "k": "2", "seed": "5", "annulus": "0.5,4", "mode": "orbit_fd", "format": "csv",
-}
-# pairs whose key does not reach that subcommand's output
-_INERT = {
-    *(("constants", key) for key in ("norm", "resolution", "radial_order", "radial_panels",
-                                     "box_points", "mc_samples", "timestamp", "verbose")),
-    *((command, key) for command in ("scan-sharpness", "sphere-measure")
-      for key in ("timestamp", "verbose")),
+    "timestamp": None, "verbose": None, "checks": "hardy", "p": "3", "alpha": "0.5",
+    "beta": "0.5", "theta": "0.5", "k": "2", "m": "1", "count": "3", "seed": "5",
+    "annulus": "0.5,4", "radial_fraction": "0.5", "mode": "orbit_fd", "format": "csv",
+    "allow_empty": None, "method": "indicator", "schedule": "1e-2:1e2,1e-4:1e4",
+    "target_gap": "0.75",
 }
 
 
 def _config_cases():
+    """Every key on every subcommand."""
     explicit = {(case[0], case[2]): case for case in _CONFIG_CASES}
-    for key, row in KEYS.items():
-        for command in row.commands:
+    for key in KEYS:
+        for command in _COMMANDS:
             yield explicit.get((command, key)) or (
                 command, _FIXED[command], key, "--" + key.replace("_", "-"), _SAMPLES[key])
 
@@ -333,6 +330,8 @@ def _outcome(tmp_path, capsys, argv):
                          ids=[f"{c[0]}-{c[2]}" for c in _config_cases()])
 def test_config_file_and_flag_give_the_same_document(tmp_path, capsys, command, fixed, key,
                                                      flag, value):
+    """A key the subcommand takes changes its outcome alike as a flag and in
+    a config file; any other key is refused both ways."""
     if value is None:
         by_flag, file_values = [flag], [True, "true"]
     else:
@@ -340,21 +339,28 @@ def test_config_file_and_flag_give_the_same_document(tmp_path, capsys, command, 
         by_flag, file_values = [f"{flag}={value}"], [value]
         with contextlib.suppress(ValueError):
             file_values.append(json.loads(value))  # a number also as a JSON number
+    cfg = tmp_path / "run.json"
+    if command not in KEYS[key].commands:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *fixed, *by_flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: file_values[0]}))
+        code, _, _, err = _outcome(tmp_path, capsys, [command, *fixed, "--config", str(cfg)])
+        assert code == 2
+        assert f"unknown config keys for {command}: {[key]}" in err
+        return
     got = _outcome(tmp_path, capsys, [command, *fixed, *by_flag])
     assert got[0] == 0
-    cfg = tmp_path / "run.json"
     for file_value in file_values:
         cfg.write_text(json.dumps({key: file_value}))
         assert _outcome(tmp_path, capsys, [command, *fixed, "--config", str(cfg)]) == got
-    by_default = _outcome(tmp_path, capsys, [command, *fixed])
-    assert (by_default == got) == ((command, key) in _INERT)
+    assert _outcome(tmp_path, capsys, [command, *fixed]) != got
 
 
 def test_config_cases_cover_the_table():
     pairs = {(command, key) for key, row in KEYS.items() for command in row.commands}
-    assert {(case[0], case[2]) for case in _config_cases()} == pairs
     assert {(case[0], case[2]) for case in _CONFIG_CASES} <= pairs
-    assert _INERT <= pairs
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -384,6 +390,8 @@ def test_readme_lists_the_keys_of_each_subcommand():
     {"radial_order": 48.0},
     # file values are checked against the choices
     {"mode": "orbit-fd", "allow_empty": True}, {"format": "xml"},
+    # a bad file value is reported even where a flag replaces it
+    {"checks": ["sobolev"]},
 ])
 def test_config_file_scalar_that_does_not_convert_exits_2(tmp_path, capsys, given):
     cfg = tmp_path / "run.json"

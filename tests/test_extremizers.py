@@ -118,6 +118,15 @@ def test_overflowing_entries_are_skipped_not_clipped(r3, config):
     assert scan.to_dict()["best_attained"] == scan.best["attained"]
 
 
+def test_first_entry_margin_is_finite_where_the_norms_are_huge(r3):
+    # a shifted cold-start scan point: ||.||_p^p of the first entry's field
+    # is about 1e205, and its margin came out as inf
+    group, norm = r3
+    entry = sharpness_scan(group, norm, 1.5, -0.488, 1.506).entries[0]
+    assert entry["eps"] == 0.1
+    assert math.isfinite(entry["margin"]) and entry["margin"] > 0.0
+
+
 def test_schedule_validation(r3, config):
     group, norm = r3
     with pytest.raises(InvalidParameterError):

@@ -12,6 +12,7 @@ from hgineq import (
     CorpusSpec,
     QuadratureConfig,
     annulus_cutoff,
+    ckn_report,
     default_norm,
     dilate_field,
     gaussian_profile,
@@ -27,8 +28,9 @@ from hgineq import (
     sphere_measure,
     weighted_lp_norm,
 )
+from hgineq.calculus import _SAMPLE_ENTRIES, _SAMPLES, _grid_values
 from hgineq.fields import orbit_profiles
-from hgineq.quadrature import sphere_rule
+from hgineq.quadrature import polar_radial_nodes, sphere_rule
 from conftest import catalog_pairs, sample_points
 
 GROUPS = ("r:3", "heis1", "aniso:1,2")
@@ -196,3 +198,69 @@ def test_support_touching_the_origin(r3):
     for weight, exact in ((0.0, math.pi**1.5), (-1.0, 1.5 * math.pi**1.5)):
         value, _ = weighted_lp_norm(group, norm, opaque, weight, 2.0)
         assert value**2 == pytest.approx(exact, rel=1e-12)
+
+
+def _opaque(group, norm, seed=3):
+    """A product corpus field behind an opaque callable."""
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=seed, radial_fraction=0.0))[0]
+    return generic_field(f.values, f.support, norm=norm, field_id=f.field_id + "|generic")
+
+
+def _grid_points(group, r, nodes):
+    return (r[:, None, None] ** group.weight_array() * nodes).reshape(-1, group.dim)
+
+
+# the two routes sample the base at points that differ in the last bits, and
+# a stencil of step h amplifies that by ~1/h^k (h = 1e-4 r at k = 1, 1e-3 r
+# above): the largest difference seen is 5e-12, 9e-10 and 5e-8
+@pytest.mark.parametrize("k,tol", [(1, 1e-10), (2, 1e-8), (3, 1e-6)])
+@pytest.mark.parametrize("name,kind", [(name, None) for name in GROUPS] + [("heis1", "max")])
+def test_grid_orbit_fd_matches_the_pointwise_route(name, kind, k, tol, config):
+    group = parse_group(name)
+    norm = make_norm(group, kind) if kind else default_norm(group)
+    fk = nth_radial_derivative(group, norm, _opaque(group, norm), k)
+    assert fk.orbit_fd[1:] == (k, norm)
+    r, _ = polar_radial_nodes(0.2, 5.0, config.radial_order, config.radial_panels)
+    nodes, _ = sphere_rule(norm, config.sphere_order)
+    grid = _grid_values(group, norm, fk, r, nodes)
+    pointwise = fk.values(_grid_points(group, r, nodes)).reshape(grid.shape)
+    assert np.max(np.abs(grid - pointwise)) <= tol * np.max(np.abs(pointwise))
+
+
+def test_orbit_fd_under_another_norm_takes_the_pointwise_route(heis, config):
+    group, koranyi = heis
+    mx = make_norm(group, "max")
+    fk = nth_radial_derivative(group, koranyi, _opaque(group, koranyi), 1)
+    r, _ = polar_radial_nodes(0.2, 10.0, config.radial_order, config.radial_panels)
+    nodes, _ = sphere_rule(mx, config.sphere_order)
+    grid = _grid_values(group, mx, fk, r, nodes)
+    np.testing.assert_array_equal(grid.ravel(), fk.values(_grid_points(group, r, nodes)))
+
+
+def test_generic_ckn_report_evaluates_the_field_once_per_node_set(r3):
+    group, norm = r3
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return f.values(x)
+
+    opaque = generic_field(counting, f.support, norm=norm)
+    rep = ckn_report(group, norm, opaque, 2.0, 0.0, 1.0)
+    assert rep.satisfied
+    # norm_lhs and norm_dual share one evaluation on each of the full and
+    # the coarse grid; the orbit FD of norm_deriv samples each grid twice
+    assert len(calls) == 6
+
+
+def test_sample_cache_stays_bounded_and_read_only(r3, config):
+    group, norm = r3
+    f = _opaque(group, norm)
+    for i in range(200):
+        g = generic_field(f.values, (0.2 + 0.001 * i, 5.0), norm=norm)
+        weighted_lp_norm(group, norm, g, 0.0, 2.0, config)
+    assert len(_SAMPLES) <= _SAMPLE_ENTRIES
+    for entry in _SAMPLES:
+        with pytest.raises(ValueError):
+            entry[-1][0, 0] = 0.0
