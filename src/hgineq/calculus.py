@@ -282,8 +282,14 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
     ``mc``         Monte Carlo on the indicator; the default beyond
                    dimension 4.
 
-    Results are memoized per process; pass ``cache_dir`` (or set
-    ``HGINEQ_CACHE_DIR``) to persist across runs.
+    ``smooth`` and ``indicator`` integrate a function of ``N(x)``, which
+    every catalog norm makes even in each coordinate, so their box rule
+    is folded onto one orthant (``integrate_box(..., even=True)``): the
+    same nodes, weights and error estimate at ``2**-n`` of the norm
+    evaluations.
+
+    Results are memoized per process, keyed on the exact annulus ends;
+    pass ``cache_dir`` (or set ``HGINEQ_CACHE_DIR``) to persist across runs.
     """
     config = config or DEFAULT_CONFIG
     a, b = float(annulus[0]), float(annulus[1])
@@ -294,7 +300,7 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
         method = "smooth" if n <= 4 else "mc"
     if method not in ("smooth", "indicator", "mc"):
         raise InvalidParameterError(f"unknown sphere-measure method {method!r}")
-    key = (group.name, norm.kind, f"{a:g}", f"{b:g}", method, config.digest())
+    key = (group.name, norm.kind, repr(a), repr(b), method, config.digest())
     if key in _SIGMA_CACHE:
         return _SIGMA_CACHE[key]
     cache_dir = cache_dir or os.environ.get("HGINEQ_CACHE_DIR")
@@ -332,7 +338,7 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
         def box_integrand(x):
             return weight(norm(x))
 
-        num, num_err = integrate_box(box_integrand, halfwidths, box_cfg)
+        num, num_err = integrate_box(box_integrand, halfwidths, box_cfg, even=True)
         den, den_err = integrate_radial(
             lambda r: weight(r) * r ** (q_dim - 1.0), a, b, config
         )
@@ -345,7 +351,7 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
             return ((r > a) & (r <= b)).astype(float)
 
         if method == "indicator":
-            vol, vol_err = integrate_box(indicator, halfwidths, box_cfg)
+            vol, vol_err = integrate_box(indicator, halfwidths, box_cfg, even=True)
         else:
             vol, vol_err = integrate_mc(indicator, halfwidths, config)
         scale = q_dim / (b**q_dim - a**q_dim)

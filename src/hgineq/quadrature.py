@@ -3,9 +3,9 @@
 Radial integrals use composite Gauss-Legendre panels placed uniformly in
 ``log r``, which resolves integrands spread over dozens of decades (the
 panel count automatically grows with the log-width of the interval).
-Node sets are memoized (:func:`radial_log_nodes`, like :func:`sphere_rule`,
-keeps a bounded number of read-only arrays), so every integral over the
-same interval at the same order sees the same array object.
+Node sets are memoized (:func:`radial_log_nodes`, :func:`polar_radial_nodes`
+and :func:`sphere_rule` keep a bounded number of read-only arrays), so every
+integral over the same interval at the same order sees the same array object.
 
 :func:`sphere_rule` gives nodes on the unit sphere ``{N = 1}`` of a
 quasi-norm with cone-measure weights, so that with the radial panels
@@ -18,8 +18,10 @@ to the radial order (:attr:`QuadratureConfig.sphere_order`).
 
 Box integrals use tensor-product Gauss-Legendre with chunked evaluation so
 the node set never materializes at once; they compute the sphere measure
-(``box_points``) and serve as an independent oracle in the tests.  Monte
-Carlo is available for higher dimensions.
+(``box_points``) and serve as an independent oracle in the tests.  An
+integrand even in each coordinate is evaluated on one orthant of the rule
+(``integrate_box(..., even=True)``).  Monte Carlo is available for higher
+dimensions.
 
 Every ``integrate_*`` routine returns ``(value, error)`` where ``error``
 is an a-posteriori estimate obtained by re-integrating at roughly half the
@@ -148,16 +150,24 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
 _ORIGIN_PANEL = 1e-3
 
 
+@functools.lru_cache(maxsize=64)
 def polar_radial_nodes(r_lo, r_hi, order, panels):
     """Radial nodes and weights of the polar route on ``[r_lo, r_hi]``:
     log-spaced panels as in :func:`integrate_radial`, and for ``r_lo = 0``
-    one plain Gauss-Legendre panel on ``[0, r_hi * 1e-3]`` in front."""
+    one plain Gauss-Legendre panel on ``[0, r_hi * 1e-3]`` in front.
+
+    Memoized with read-only arrays, like :func:`radial_log_nodes`.
+    """
     if r_lo > 0:
         return radial_log_nodes(r_lo, r_hi, order, effective_panels(r_lo, r_hi, panels))
     r_b = _ORIGIN_PANEL * r_hi
     nodes, weights = radial_log_nodes(r_b, r_hi, order, effective_panels(r_b, r_hi, panels))
     xg, wg = _gauss(order)
-    return np.concatenate([0.5 * r_b * (xg + 1.0), nodes]), np.concatenate([0.5 * r_b * wg, weights])
+    nodes = np.concatenate([0.5 * r_b * (xg + 1.0), nodes])
+    weights = np.concatenate([0.5 * r_b * wg, weights])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def unit_sphere_rule(n, order):
@@ -264,11 +274,17 @@ def _box_bounds(bounds):
     return b
 
 
-def _box_pass(fn, bounds, points):
+def _box_pass(fn, bounds, points, even):
     n = bounds.shape[0]
+    xg, wg = _gauss(points)
+    if even:
+        # the rule is exactly mirror-symmetric, so each mirrored pair of
+        # nodes becomes its nonnegative node at twice the weight; the
+        # centre node of an odd rule is exactly 0 and keeps its weight
+        keep = xg >= 0.0
+        xg, wg = xg[keep], np.where(xg[keep] > 0.0, 2.0, 1.0) * wg[keep]
     axes = []
     for i in range(n):
-        xg, wg = _gauss(points)
         half = 0.5 * (bounds[i, 1] - bounds[i, 0])
         mid = 0.5 * (bounds[i, 1] + bounds[i, 0])
         axes.append((mid + half * xg, half * wg))
@@ -298,15 +314,25 @@ def _box_pass(fn, bounds, points):
     return total
 
 
-def integrate_box(fn, bounds, config=DEFAULT_CONFIG):
+def integrate_box(fn, bounds, config=DEFAULT_CONFIG, even=False):
     """Tensor-product Gauss-Legendre integral of ``fn`` over a box.
 
     ``bounds`` is either ``(n, 2)`` explicit bounds or a length-``n``
     array of halfwidths for a symmetric box.  Returns ``(value, error)``.
+
+    ``even=True`` states that ``fn`` is even in each coordinate separately,
+    ``fn(..., -x_i, ...) == fn(..., x_i, ...)``, as is any function of a
+    catalog quasi-norm.  The rule is then folded onto the orthant
+    ``x >= 0``: the same nodes and weights, each mirrored pair evaluated
+    once, so ``fn`` sees about ``2**-n`` of the points and the result
+    differs from the unfolded rule only in summation order.  The box must
+    be symmetric about the origin.
     """
     b = _box_bounds(bounds)
-    full = _box_pass(fn, b, config.box_points)
-    coarse = _box_pass(fn, b, max(2, config.box_points // 2))
+    if even and np.any(b[:, 0] != -b[:, 1]):
+        raise InvalidParameterError("even=True needs a box symmetric about the origin")
+    full = _box_pass(fn, b, config.box_points, even)
+    coarse = _box_pass(fn, b, max(2, config.box_points // 2), even)
     err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
     return full, err
 

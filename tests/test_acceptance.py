@@ -7,9 +7,11 @@ that a unit regressed somewhere.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,10 +230,12 @@ def test_criterion_10_verify_byte_determinism(tmp_path):
         "--check", "ckn", "--p", "2", "--alpha", "0", "--beta", "0.5",
         "--count", "6", "--seed", "3",
     ]
+    # the child imports the package from this checkout's src/ as the tests do
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     outs = []
     for i in (1, 2):
         path = tmp_path / f"run{i}.json"
-        proc = subprocess.run(args + ["--out", str(path)], capture_output=True)
+        proc = subprocess.run(args + ["--out", str(path)], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]

@@ -14,11 +14,13 @@ from hgineq import (
     SingularPointError,
     UnsupportedDomainError,
     annulus_cutoff,
+    clear_sphere_measure_cache,
     constant_profile,
     default_norm,
     gaussian_profile,
     generic_field,
     haar_integral,
+    integrate_box,
     log_gaussian_profile,
     make_corpus,
     make_norm,
@@ -32,9 +34,12 @@ from hgineq import (
     weighted_combo_l2,
     weighted_lp_norm,
 )
+from hgineq import calculus
 from hgineq.calculus import _SIGMA_CACHE, _STACK_ENTRIES, _STACKS, _profile_stack
+from hgineq.norms import QuasiNormSpec
 from hgineq.quadrature import radial_log_nodes
 from hgineq.reports import evaluate
+from conftest import catalog_pairs
 
 
 def _bump(norm, lo=0.2, hi=5.0):
@@ -238,6 +243,52 @@ def test_sphere_measure_file_cache(tmp_path, config):
     _SIGMA_CACHE.clear()
     again = sphere_measure(group, norm, config=config, cache_dir=str(tmp_path))
     assert again.value == first.value and again is not first
+
+
+def test_sphere_measure_memo_and_file_name_use_the_exact_annulus(tmp_path, config):
+    clear_sphere_measure_cache()
+    group = parse_group("r:2")
+    norm = default_norm(group)
+    first = sphere_measure(group, norm, annulus=(1.0, 2.0), config=config,
+                           cache_dir=str(tmp_path))
+    near = sphere_measure(group, norm, annulus=(1.0000001, 2.0), config=config,
+                          cache_dir=str(tmp_path))
+    assert near is not first and near.annulus == (1.0000001, 2.0)
+    assert len(list(tmp_path.glob("sigma_*.json"))) == 2
+
+
+@pytest.mark.parametrize("group,norm", list(catalog_pairs()),
+                         ids=lambda v: getattr(v, "name", getattr(v, "kind", v)))
+def test_folded_sphere_measure_keeps_the_full_rule(group, norm, config, monkeypatch):
+    clear_sphere_measure_cache()
+    folded = sphere_measure(group, norm, config=config)
+    monkeypatch.setattr(calculus, "integrate_box",
+                        lambda fn, bounds, cfg, even=False: integrate_box(fn, bounds, cfg))
+    clear_sphere_measure_cache()
+    full = sphere_measure(group, norm, config=config)
+    assert folded.value == pytest.approx(full.value, rel=1e-14)
+    assert folded.error == pytest.approx(full.error, rel=1e-9)
+
+
+# smooth sigma's box points per axis: 192 in dimension 3, 384 in dimension 2,
+# and half that on the coarse pass; the fold keeps half of each axis rule
+FOLDED_ROWS = {2: 192**2 + 96**2, 3: 96**3 + 48**3}
+
+
+@pytest.mark.parametrize("group,norm", list(catalog_pairs()),
+                         ids=lambda v: getattr(v, "name", getattr(v, "kind", v)))
+def test_sphere_measure_evaluates_the_norm_on_one_orthant(group, norm, config, monkeypatch):
+    rows = []
+    call = QuasiNormSpec.__call__
+
+    def counting(self, x):
+        rows.append(np.asarray(x).shape[0])
+        return call(self, x)
+
+    monkeypatch.setattr(QuasiNormSpec, "__call__", counting)
+    clear_sphere_measure_cache()
+    sphere_measure(group, norm, config=config)
+    assert sum(rows) == FOLDED_ROWS[group.dim]
 
 
 def test_sphere_measure_validates_annulus(config):

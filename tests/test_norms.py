@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hgineq import (
     make_norm,
     parse_group,
 )
+from hgineq.norms import NORM_KINDS
 from tests.conftest import catalog_pairs
 
 
@@ -119,3 +122,58 @@ def test_koranyi_exact_homogeneity(lam, coords):
         return
     scaled = np.array([lam * x[0], lam * x[1], lam * lam * x[2]])
     assert np.asarray(n(scaled)) == pytest.approx(lam * np.asarray(n(x)), rel=1e-12)
+
+
+# every (group, kind) pair make_norm accepts on these groups
+FOLD_GROUPS = ("r:1", "r:2", "r:3", "heis1", "aniso:1,2")
+
+
+def _accepted_pairs():
+    for gname in FOLD_GROUPS:
+        group = parse_group(gname)
+        for kind in NORM_KINDS:
+            try:
+                yield group, make_norm(group, kind)
+            except IncompatibleNormError:
+                pass
+
+
+def _wide_points(group, rng, count=20_000):
+    """Random points with every coordinate's magnitude spread over e^+-20."""
+    x = rng.standard_normal((count, group.dim))
+    return x * np.exp(rng.uniform(-20.0, 20.0, size=x.shape))
+
+
+@pytest.mark.parametrize("group,norm", list(_accepted_pairs()),
+                         ids=lambda v: getattr(v, "name", getattr(v, "kind", v)))
+def test_norm_is_even_in_each_coordinate_bit_for_bit(group, norm):
+    # the sphere measure's box rule evaluates one orthant on this promise
+    x = _wide_points(group, np.random.default_rng(11))
+    r = norm(x)
+    for signs in itertools.product((1.0, -1.0), repeat=group.dim):
+        np.testing.assert_array_equal(norm(x * np.array(signs)), r)
+
+
+def _reference_norm(norm, x):
+    """The trailing-axis reductions the column-wise evaluation replaces."""
+    w = norm.group.weight_array()
+    if norm.kind == "euclidean":
+        return np.sqrt(np.sum(x * x, axis=-1))
+    if norm.kind == "koranyi":
+        u = x[..., 0] ** 2 + x[..., 1] ** 2
+        return (u * u + 16.0 * x[..., 2] ** 2) ** 0.25
+    if norm.kind == "aniso_power":
+        m2 = 2.0 * max(w)
+        return np.sum(np.abs(x) ** (m2 / w), axis=-1) ** (1.0 / m2)
+    return np.max(np.abs(x) ** (1.0 / w), axis=-1)
+
+
+@pytest.mark.parametrize("group,norm", list(_accepted_pairs()),
+                         ids=lambda v: getattr(v, "name", getattr(v, "kind", v)))
+def test_norm_equals_the_trailing_axis_reduction_bit_for_bit(group, norm):
+    x = _wide_points(group, np.random.default_rng(12))
+    np.testing.assert_array_equal(norm(x), _reference_norm(norm, x))
+    batched = x.reshape(40, -1, group.dim)
+    np.testing.assert_array_equal(norm(batched), _reference_norm(norm, batched))
+    one = norm(x[0])
+    assert type(one) is np.float64 and one == _reference_norm(norm, x[0])

@@ -254,6 +254,24 @@ def test_generic_ckn_report_evaluates_the_field_once_per_node_set(r3):
     assert len(calls) == 6
 
 
+def test_opaque_field_touching_the_origin_is_evaluated_once_per_node_set(r3, config):
+    group, norm = r3
+    g = radial_field(gaussian_profile(1.0), norm, support=(1e-6, 5.0))
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return g.values(x)
+
+    opaque = generic_field(counting, (0.0, 5.0), norm=norm)
+    first = weighted_lp_norm(group, norm, opaque, 0.0, 2.0, config)
+    assert weighted_lp_norm(group, norm, opaque, 0.0, 1.5, config)[0] != first[0]
+    assert len(calls) == 2  # the full and the coarse grid, once each
+    r, wr = polar_radial_nodes(0.0, 5.0, config.radial_order, config.radial_panels)
+    assert polar_radial_nodes(0.0, 5.0, config.radial_order, config.radial_panels)[0] is r
+    assert not r.flags.writeable and not wr.flags.writeable
+
+
 def test_sample_cache_stays_bounded_and_read_only(r3, config):
     group, norm = r3
     f = _opaque(group, norm)

@@ -121,3 +121,39 @@ def test_radial_halving_panels_converges():
     fine, _ = integrate_radial(fn, 0.5, 10.0, QuadratureConfig(radial_order=4, radial_panels=8), auto_panels=False)
     oracle, _ = quad(fn, 0.5, 10.0)
     assert abs(fine - oracle) < abs(coarse - oracle)
+
+
+def _even_bump(x):
+    # even in each coordinate, not radial, with an off-axis feature
+    return np.exp(-np.sum(x * x, axis=-1) - 0.5 * x[..., 0] ** 4) * np.cos(x[..., 0] * x[..., -1])
+
+
+@pytest.mark.parametrize("points", [24, 25, 64, 65])
+@pytest.mark.parametrize("halfwidths", [(3.0, 2.0), (1.5,), (1.0, 2.0, 0.5)])
+def test_folded_box_rule_matches_the_full_rule(points, halfwidths):
+    cfg = QuadratureConfig(box_points=points)
+    full, full_err = integrate_box(_even_bump, halfwidths, cfg)
+    folded, folded_err = integrate_box(_even_bump, halfwidths, cfg, even=True)
+    assert folded == pytest.approx(full, rel=1e-14)
+    assert folded_err == pytest.approx(full_err, rel=1e-6, abs=1e-14 * abs(full))
+
+
+def test_folded_box_rule_evaluates_one_orthant():
+    rows = []
+
+    def fn(x):
+        rows.append(x)
+        return _even_bump(x)
+
+    integrate_box(fn, (3.0, 2.0), QuadratureConfig(box_points=25), even=True)
+    pts = np.concatenate(rows)
+    assert len(pts) == 13**2 + 6**2  # 25 -> 13 nodes per axis, 12 -> 6
+    assert np.all(pts >= 0.0)
+
+
+def test_folded_box_rule_needs_a_symmetric_box():
+    with pytest.raises(InvalidParameterError):
+        integrate_box(_even_bump, [(-1.0, 2.0), (-1.0, 1.0)], QuadratureConfig(), even=True)
+    val, _ = integrate_box(_even_bump, [(-1.0, 1.0), (-2.0, 2.0)], QuadratureConfig(), even=True)
+    assert val == pytest.approx(integrate_box(_even_bump, (1.0, 2.0), QuadratureConfig())[0],
+                                rel=1e-14)
