@@ -44,10 +44,7 @@ the norms of one field on one grid share one evaluation.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,32 +210,16 @@ def radial_derivative(group, norm, f, x, mode="analytic"):
 # -- integration -------------------------------------------------------------
 
 
-def haar_integral(group, integrand, config=None, box=None, annulus=None, norm=None):
-    """Integrate a vectorized integrand against Haar (= Lebesgue) measure.
-
-    The domain must be bounded: pass explicit ``box`` bounds (halfwidths
-    or ``(n, 2)``), or an ``annulus = (r0, r1)`` together with the norm
-    that measures it.
-    """
-    config = config or DEFAULT_CONFIG
-    if box is None:
-        if annulus is None or norm is None:
-            raise UnsupportedDomainError("need box bounds, or annulus plus norm")
-        box = norm.bounding_halfwidths(annulus[1])
-    return integrate_box(integrand, box, config)
-
-
 @dataclass(frozen=True)
 class SphereMeasure:
     """Area of the unit sphere ``{N = 1}`` w.r.t. the cone measure induced
-    by Haar measure and the dilations."""
+    by Haar measure and the dilations; ``method`` records the route."""
 
     value: float
     error: float
     method: str
     group: str
     norm: str
-    annulus: tuple
     config_digest: str
 
     def to_dict(self):
@@ -248,97 +229,69 @@ class SphereMeasure:
             "method": self.method,
             "group": self.group,
             "norm": self.norm,
-            "annulus": list(self.annulus),
             "config_digest": self.config_digest,
         }
 
 
 _SIGMA_CACHE = {}
 
+#: the reference annulus ``a < N <= b`` whose volume gives ``sigma``
+_SIGMA_ANNULUS = (1.0, 2.0)
+
 #: resolution floors for the smooth sphere-measure integrand, per dimension
 _SMOOTH_MIN_POINTS = {1: 1024, 2: 384, 3: 192}
+
+#: Monte Carlo samples of the annulus volume beyond dimension 4
+_MC_SAMPLES = 2_000_000
 
 
 def clear_sphere_measure_cache():
     _SIGMA_CACHE.clear()
 
 
-def _cache_path(cache_dir, key):
-    safe = re.sub(r"[^A-Za-z0-9._-]", "-", "_".join(str(k) for k in key))
-    return os.path.join(cache_dir, f"sigma_{safe}.json")
+def sphere_measure(group, norm, config=None):
+    """Compute ``sigma = Q vol({a < N <= b}) / (b^Q - a^Q)`` on the
+    reference annulus ``(a, b) = (1, 2)``.
 
+    One route per dimension, recorded as ``method``:
 
-def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", cache_dir=None):
-    """Compute ``sigma = lim Q vol({a < N <= b}) / (b^Q - a^Q)``.
+    ``smooth``  through dimension 4: integrates a C^inf radial plateau
+                weight both over the group (box quadrature) and radially;
+                their ratio is ``sigma``.  The integrand is a function of
+                ``N(x)``, which every catalog norm makes even in each
+                coordinate, so the box rule is folded onto one orthant
+                (``integrate_box(..., even=True)``): the same nodes,
+                weights and error estimate at ``2**-n`` of the norm
+                evaluations.
+    ``mc``      beyond dimension 4: Monte Carlo on ``1{a < N(x) <= b}``.
 
-    Methods
-    -------
-    ``smooth``     integrates a C^inf radial plateau weight both over the
-                   group (box quadrature) and radially; their ratio is
-                   ``sigma``.  Spectrally accurate; the default through
-                   dimension 4.
-    ``indicator``  integrates the annulus indicator directly (robust but
-                   slowly converging; useful as a cross-check).
-    ``mc``         Monte Carlo on the indicator; the default beyond
-                   dimension 4.
-
-    ``smooth`` and ``indicator`` integrate a function of ``N(x)``, which
-    every catalog norm makes even in each coordinate, so their box rule
-    is folded onto one orthant (``integrate_box(..., even=True)``): the
-    same nodes, weights and error estimate at ``2**-n`` of the norm
-    evaluations.
-
-    Results are memoized per process, keyed on the exact annulus ends;
-    pass ``cache_dir`` (or set ``HGINEQ_CACHE_DIR``) to persist across runs.
+    Results are memoized per process and configuration.
     """
     config = config or DEFAULT_CONFIG
-    a, b = float(annulus[0]), float(annulus[1])
-    if not 0 < a < b:
-        raise InvalidParameterError("annulus must satisfy 0 < a < b")
     n = group.dim
-    if method == "auto":
-        method = "smooth" if n <= 4 else "mc"
-    if method not in ("smooth", "indicator", "mc"):
-        raise InvalidParameterError(f"unknown sphere-measure method {method!r}")
-    key = (group.name, norm.kind, repr(a), repr(b), method, config.digest())
+    method = "smooth" if n <= 4 else "mc"
+    key = (group.name, norm.kind, config.digest())
     if key in _SIGMA_CACHE:
         return _SIGMA_CACHE[key]
-    cache_dir = cache_dir or os.environ.get("HGINEQ_CACHE_DIR")
-    path = None
-    if cache_dir:
-        path = _cache_path(cache_dir, key)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            sm = SphereMeasure(
-                data["value"], data["error"], method, group.name, norm.kind, (a, b),
-                config.digest(),
-            )
-            _SIGMA_CACHE[key] = sm
-            return sm
-        except (OSError, KeyError, ValueError):
-            pass
 
+    a, b = _SIGMA_ANNULUS
     q_dim = group.homogeneous_dimension
-    pts = config.box_points
+    halfwidths = norm.bounding_halfwidths(b)
     if method == "smooth":
         # the plateau-weight integrand is C^inf, so tensor Gauss-Legendre
         # converges spectrally; a modest per-dimension floor buys ~1e-7
         # relative accuracy at sub-second cost through dimension 3
-        pts = max(pts, _SMOOTH_MIN_POINTS.get(n, 0))
-    # keep tensor grids below ~20M nodes in higher dimensions
-    pts = min(pts, max(2, int(round(2e7 ** (1.0 / n)))))
-    box_cfg = replace(config, box_points=pts)
-    halfwidths = norm.bounding_halfwidths(b)
-
-    if method == "smooth":
+        pts = max(config.box_points, _SMOOTH_MIN_POINTS.get(n, 0))
+        # keep tensor grids below ~20M nodes in higher dimensions
+        pts = min(pts, max(2, int(round(2e7 ** (1.0 / n)))))
         s = (b / a) ** 0.25
         weight = annulus_cutoff(a, a * s, b / s, b)
 
         def box_integrand(x):
             return weight(norm(x))
 
-        num, num_err = integrate_box(box_integrand, halfwidths, box_cfg, even=True)
+        num, num_err = integrate_box(box_integrand, halfwidths,
+                                     replace(config, box_points=pts), even=True)
         den, den_err = integrate_radial(
             lambda r: weight(r) * r ** (q_dim - 1.0), a, b, config
         )
@@ -346,28 +299,18 @@ def sphere_measure(group, norm, annulus=(1.0, 2.0), config=None, method="auto", 
         error = abs(num_err / den) + abs(value * den_err / den)
     else:
 
-        def indicator(x):
+        def in_annulus(x):
             r = norm(x)
             return ((r > a) & (r <= b)).astype(float)
 
-        if method == "indicator":
-            vol, vol_err = integrate_box(indicator, halfwidths, box_cfg, even=True)
-        else:
-            vol, vol_err = integrate_mc(indicator, halfwidths, config)
+        vol, vol_err = integrate_mc(in_annulus, halfwidths, _MC_SAMPLES)
         scale = q_dim / (b**q_dim - a**q_dim)
         value = scale * vol
         error = scale * vol_err
 
-    sm = SphereMeasure(float(value), float(error), method, group.name, norm.kind, (a, b),
+    sm = SphereMeasure(float(value), float(error), method, group.name, norm.kind,
                        config.digest())
     _SIGMA_CACHE[key] = sm
-    if path:
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump(sm.to_dict(), fh)
-        except OSError:
-            pass
     return sm
 
 

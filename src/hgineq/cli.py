@@ -87,7 +87,6 @@ KEYS = {
                         "Gauss order per radial panel; also sets the sphere rule's order"),
     "radial_panels": Key(None, int, _NUMERIC, "least number of log-spaced radial panels"),
     "box_points": Key(None, int, _NUMERIC, "box points per axis of the sphere measure's rule"),
-    "mc_samples": Key(None, int, _NUMERIC, "Monte Carlo samples of the sphere measure"),
     "timestamp": Key(False, _flag, _CORPUS,
                      "embed a generation timestamp (breaks byte determinism)"),
     "verbose": Key(False, _flag, _CORPUS, "warn about each skipped grid point"),
@@ -104,16 +103,12 @@ KEYS = {
              many=True),
     "count": Key(8, int, _CORPUS, "corpus size"),
     "seed": Key(0, int, _CORPUS, "corpus seed"),
-    "annulus": Key((0.2, 5.0), float, ("verify", "sphere-measure", "identity-check"),
-                   "corpus support annulus lo,hi (sphere-measure: reference annulus, "
-                   "default 1,2)", many=True),
+    "annulus": Key((0.2, 5.0), float, _CORPUS, "corpus support annulus lo,hi", many=True),
     "radial_fraction": Key(0.8, float, ("verify",), "share of quasi-radial corpus fields"),
     "mode": Key("auto", str, _CORPUS, "derivative mode",
                 choices=("auto", "analytic", "orbit_fd")),
     "format": Key("json", str, _CORPUS, "output format", choices=("json", "csv")),
     "allow_empty": Key(False, _flag, _CORPUS, "emit a document with no reports"),
-    "method": Key("auto", str, ("sphere-measure",), "method",
-                  choices=("auto", "smooth", "indicator", "mc")),
     "schedule": Key(None, _pair, ("scan-sharpness",), "comma list of eps:r_out pairs",
                     many=True),
     "target_gap": Key(None, float, ("scan-sharpness",),
@@ -322,8 +317,7 @@ def _cmd_scan(cfg, given):
 
 def _cmd_sigma(cfg, given):
     group, norm, quad = _setup(cfg)
-    annulus = {"annulus": tuple(cfg["annulus"])} if "annulus" in given else {}
-    sm = sphere_measure(group, norm, config=quad, method=cfg["method"], **annulus)
+    sm = sphere_measure(group, norm, config=quad)
     _emit(json.dumps(sm.to_dict(), indent=2, sort_keys=True) + "\n", cfg["out"])
     print(f"sphere-measure: {sm.value:.12g} +/- {sm.error:.3g} ({sm.method})",
           file=sys.stderr)

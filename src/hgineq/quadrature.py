@@ -61,14 +61,11 @@ class QuadratureConfig:
     box_points : int
         Tensor-product points per axis for box integrals (the sphere
         measure).
-    mc_samples : int
-        Sample count for Monte Carlo fallbacks.
     """
 
     radial_order: int = 32
     radial_panels: int = 8
     box_points: int = 64
-    mc_samples: int = 2_000_000
 
     def __post_init__(self):
         for f in fields(self):  # every knob is a count; numpy integers become ints
@@ -80,8 +77,6 @@ class QuadratureConfig:
             raise InvalidParameterError("quadrature orders must be >= 2")
         if self.radial_panels < 1:
             raise InvalidParameterError("radial_panels must be >= 1")
-        if self.mc_samples < 100:
-            raise InvalidParameterError("mc_samples must be >= 100")
 
     @property
     def sphere_order(self):
@@ -90,9 +85,7 @@ class QuadratureConfig:
         return max(2, 3 * self.radial_order // 8)
 
     def doubled(self):
-        return QuadratureConfig(
-            2 * self.radial_order, 2 * self.radial_panels, 2 * self.box_points, 4 * self.mc_samples
-        )
+        return QuadratureConfig(2 * self.radial_order, 2 * self.radial_panels, 2 * self.box_points)
 
     def digest(self):
         """Short stable hash of the configuration, recorded in report metadata."""
@@ -100,9 +93,7 @@ class QuadratureConfig:
 
     @functools.cached_property
     def _digest(self):
-        blob = json.dumps(
-            [self.radial_order, self.radial_panels, self.box_points, self.mc_samples]
-        )
+        blob = json.dumps([self.radial_order, self.radial_panels, self.box_points])
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -202,11 +193,13 @@ def unit_sphere_rule(n, order):
 def _cube_face_rule(weights, order):
     """The unit sphere of ``max_i |x_i|^(1/w_i)`` is the boundary of the cube
     ``[-1, 1]^n``; the cone measure on the face ``x_i = +-1`` is ``w_i``
-    times surface measure.  Tensor Gauss-Legendre on each face."""
+    times surface measure.  Tensor Gauss-Legendre on each face; for
+    ``n = 1`` each face is the single point ``+-1``, of weight ``w_1``."""
     n = len(weights)
     xg, wg = _gauss(order)
-    face = np.array(list(itertools.product(xg, repeat=n - 1))).reshape(-1, n - 1)
-    wface = np.prod(np.array(list(itertools.product(wg, repeat=n - 1))).reshape(-1, n - 1), axis=1)
+    shape = (len(xg) ** (n - 1), n - 1)
+    face = np.array(list(itertools.product(xg, repeat=n - 1))).reshape(shape)
+    wface = np.prod(np.array(list(itertools.product(wg, repeat=n - 1))).reshape(shape), axis=1)
     nodes, sigma = [], []
     for i, w in enumerate(weights):
         for sign in (1.0, -1.0):
@@ -337,14 +330,15 @@ def integrate_box(fn, bounds, config=DEFAULT_CONFIG, even=False):
     return full, err
 
 
-def integrate_mc(fn, bounds, config=DEFAULT_CONFIG, seed=0):
-    """Plain Monte Carlo over a box; error is three standard errors."""
+def integrate_mc(fn, bounds, samples, seed=0):
+    """Plain Monte Carlo over a box with ``samples`` points; error is three
+    standard errors."""
     b = _box_bounds(bounds)
     vol = float(np.prod(b[:, 1] - b[:, 0]))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    remaining = config.mc_samples
+    remaining = samples
     while remaining > 0:
         m = min(remaining, _EVAL_CHUNK)
         pts = rng.uniform(b[:, 0], b[:, 1], size=(m, b.shape[0]))
@@ -352,7 +346,6 @@ def integrate_mc(fn, bounds, config=DEFAULT_CONFIG, seed=0):
         total += float(v.sum())
         total_sq += float((v * v).sum())
         remaining -= m
-    n = config.mc_samples
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    return vol * mean, 3.0 * vol * math.sqrt(var / n)
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    return vol * mean, 3.0 * vol * math.sqrt(var / samples)

@@ -12,14 +12,12 @@ from hgineq import (
     QuadratureConfig,
     RadialProfile,
     SingularPointError,
-    UnsupportedDomainError,
     annulus_cutoff,
     clear_sphere_measure_cache,
     constant_profile,
     default_norm,
     gaussian_profile,
     generic_field,
-    haar_integral,
     integrate_box,
     log_gaussian_profile,
     make_corpus,
@@ -156,32 +154,6 @@ def test_order_validation(r3):
     assert nth_radial_derivative(group, norm, f, 0) is f
 
 
-# -- haar integral ------------------------------------------------------------
-
-
-def test_haar_integral_gaussian_plane(config):
-    group = parse_group("r:2")
-    val, err = haar_integral(
-        group, lambda x: np.exp(-np.sum(x**2, axis=-1)), config=config, box=[6.0, 6.0]
-    )
-    assert val == pytest.approx(math.pi, rel=1e-8)
-    assert err < 1e-6
-
-
-def test_haar_integral_annulus_domain(config):
-    group = parse_group("r:2")
-    norm = default_norm(group)
-    ind = lambda x: (np.asarray(norm(x)) <= 1.0).astype(float)
-    val, _ = haar_integral(group, ind, config=config, annulus=(0.5, 1.0), norm=norm)
-    assert val == pytest.approx(math.pi, rel=1e-2)
-
-
-def test_haar_integral_needs_a_domain(config):
-    group = parse_group("r:2")
-    with pytest.raises(UnsupportedDomainError):
-        haar_integral(group, lambda x: x[..., 0], config=config)
-
-
 # -- sphere measure -----------------------------------------------------------
 
 SIGMA_CASES = [
@@ -203,22 +175,11 @@ def test_sphere_measure_reference_values(name, expected, rtol, config):
     assert sm.error < 1e-3 * expected
 
 
-def test_sphere_measure_annulus_invariance(config):
-    group = parse_group("heis1")
-    norm = default_norm(group)
-    a = sphere_measure(group, norm, annulus=(1.0, 2.0), config=config)
-    b = sphere_measure(group, norm, annulus=(0.5, 3.0), config=config)
-    assert a.value == pytest.approx(b.value, rel=1e-4)
-
-
-def test_sphere_measure_method_crosscheck(config):
-    group = parse_group("r:2")
-    norm = default_norm(group)
-    smooth = sphere_measure(group, norm, config=config, method="smooth")
-    rough = sphere_measure(group, norm, config=config, method="indicator")
-    mc = sphere_measure(group, norm, config=config, method="mc")
-    assert rough.value == pytest.approx(smooth.value, rel=2e-2)
-    assert abs(mc.value - smooth.value) < 5 * max(mc.error, 1e-3)
+def test_sphere_measure_beyond_dimension_4_is_monte_carlo():
+    group = parse_group("r:5")
+    sm = sphere_measure(group, default_norm(group))
+    assert sm.method == "mc"
+    assert abs(sm.value - 8 * math.pi**2 / 3) <= sm.error
 
 
 def test_sphere_measure_memoization(config):
@@ -229,32 +190,7 @@ def test_sphere_measure_memoization(config):
     norm = default_norm(group)
     first = sphere_measure(group, norm, config=config)
     assert sphere_measure(group, norm, config=config) is first
-    assert len(_SIGMA_CACHE) == 1
-
-
-def test_sphere_measure_file_cache(tmp_path, config):
-    from hgineq import clear_sphere_measure_cache
-
-    clear_sphere_measure_cache()
-    group = parse_group("r:2")
-    norm = default_norm(group)
-    first = sphere_measure(group, norm, config=config, cache_dir=str(tmp_path))
-    assert list(tmp_path.glob("sigma_*.json"))
-    _SIGMA_CACHE.clear()
-    again = sphere_measure(group, norm, config=config, cache_dir=str(tmp_path))
-    assert again.value == first.value and again is not first
-
-
-def test_sphere_measure_memo_and_file_name_use_the_exact_annulus(tmp_path, config):
-    clear_sphere_measure_cache()
-    group = parse_group("r:2")
-    norm = default_norm(group)
-    first = sphere_measure(group, norm, annulus=(1.0, 2.0), config=config,
-                           cache_dir=str(tmp_path))
-    near = sphere_measure(group, norm, annulus=(1.0000001, 2.0), config=config,
-                          cache_dir=str(tmp_path))
-    assert near is not first and near.annulus == (1.0000001, 2.0)
-    assert len(list(tmp_path.glob("sigma_*.json"))) == 2
+    assert list(_SIGMA_CACHE) == [("r:3", "euclidean", config.digest())]
 
 
 @pytest.mark.parametrize("group,norm", list(catalog_pairs()),
@@ -289,15 +225,6 @@ def test_sphere_measure_evaluates_the_norm_on_one_orthant(group, norm, config, m
     clear_sphere_measure_cache()
     sphere_measure(group, norm, config=config)
     assert sum(rows) == FOLDED_ROWS[group.dim]
-
-
-def test_sphere_measure_validates_annulus(config):
-    group = parse_group("r:2")
-    norm = default_norm(group)
-    with pytest.raises(InvalidParameterError):
-        sphere_measure(group, norm, annulus=(2.0, 1.0), config=config)
-    with pytest.raises(InvalidParameterError):
-        sphere_measure(group, norm, config=config, method="bogus")
 
 
 # -- weighted norms -----------------------------------------------------------

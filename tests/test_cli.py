@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from hgineq import cli
 from hgineq.cli import _COMMANDS, KEYS, main
 from hgineq.profiles import RadialProfile
+from hgineq.quadrature import QuadratureConfig
 from hgineq.reports import ALIASES, CHECKS, VARIANTS
 
 
@@ -196,11 +198,10 @@ def test_sphere_measure_squares_with_known_area(tmp_path):
     doc = json.loads(text)
     assert doc["value"] == pytest.approx(4 * 3.141592653589793, rel=1e-3)
     assert doc["method"] == "smooth"
-    code, text = run(tmp_path, "sphere-measure", "--group", "r:2", "--method", "mc",
-                     "--mc-samples", "200000")
+    code, text = run(tmp_path, "sphere-measure", "--group", "r:5")
     doc = json.loads(text)
     assert doc["method"] == "mc"
-    assert doc["value"] == pytest.approx(2 * 3.141592653589793, rel=5e-2)
+    assert doc["value"] == pytest.approx(8 * 3.141592653589793**2 / 3, rel=1e-2)
 
 
 def test_identity_check_runs_clean(tmp_path):
@@ -235,9 +236,31 @@ def test_resolution_flag_reaches_quadrature(tmp_path):
     assert code == 0
     doc = json.loads(text)
     digest = doc["reports"][0]["config_digest"]
-    from hgineq import QuadratureConfig
-
     assert digest == QuadratureConfig(radial_order=48, box_points=48).digest()
+
+
+# r:3's sigma takes at least 192 box points per axis, so box_points counts
+# only above that
+_DIGEST_BASE = {"radial_order": 32, "radial_panels": 8, "box_points": 192}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(QuadratureConfig)])
+def test_doubling_one_quadrature_field_changes_a_number(tmp_path, field):
+    """No quadrature field changes the config digest without changing a
+    number of a document that records the digest.  Reports take sigma at
+    the default configuration, so box_points shows in sigma's document."""
+    def numbers(**changed):
+        flags = [f"--{key.replace('_', '-')}={value}"
+                 for key, value in {**_DIGEST_BASE, **changed}.items()]
+        texts = []
+        for command in (("verify", "--check", "ckn", "--count", "4"), ("sphere-measure",)):
+            code, text = run(tmp_path, *command, "--group", "r:3", *flags)
+            assert code == 0
+            texts.append(re.sub(r'"config_digest": "\w+"', "", text))
+        return texts
+
+    assert sorted(_DIGEST_BASE) == sorted(f.name for f in dataclasses.fields(QuadratureConfig))
+    assert numbers(**{field: 2 * _DIGEST_BASE[field]}) != numbers()
 
 
 def test_version_flag(capsys):
@@ -255,15 +278,12 @@ _CONFIG_CASES = [
     ("constants", ("--group", "heis1", "--k", "2"), "theta", "--theta", "0.5"),
     ("constants", ("--group", "heis1", "--theta", "0.5"), "k", "--k", "2"),
     ("constants", ("--group", "heis1", "--alpha", "0.5"), "m", "--m", "2"),
-    ("sphere-measure", ("--group", "r:2", "--resolution", "16"), "annulus", "--annulus", "1,3"),
     ("sphere-measure", ("--resolution", "16"), "group", "--group", "heis1"),
     ("identity-check", ("--count", "2"), "alpha", "--alpha", "-1,1"),
     ("identity-check", ("--count", "2"), "k", "--k", "2"),
     ("scan-sharpness", ("--schedule", "1e-2:1e2"), "beta", "--beta", "0.5"),
     ("scan-sharpness", (), "schedule", "--schedule", "1e-2:1e2,1e-4:1e4"),
     ("scan-sharpness", ("--schedule", "1e-2:1e2"), "target_gap", "--target-gap", "0.75"),
-    ("sphere-measure", ("--group", "r:2", "--resolution", "16"), "method", "--method",
-     "indicator"),
     ("verify", ("--count", "2"), "checks", "--check", "hardy,up1p"),
     ("verify", ("--count", "2", "--check", "higher"), "theta", "--theta", "0.25"),
     ("verify", ("--count", "2", "--check", "pair"), "m", "--m", "1"),
@@ -306,10 +326,14 @@ _SAMPLES = {
 }
 
 
+# keys no subcommand takes any more
+_RETIRED = ("mc_samples", "method")
+
+
 def _config_cases():
-    """Every key on every subcommand."""
+    """Every key, and every retired key, on every subcommand."""
     explicit = {(case[0], case[2]): case for case in _CONFIG_CASES}
-    for key in KEYS:
+    for key in (*KEYS, *_RETIRED):
         for command in _COMMANDS:
             yield explicit.get((command, key)) or (
                 command, _FIXED[command], key, "--" + key.replace("_", "-"), _SAMPLES[key])
@@ -340,7 +364,7 @@ def test_config_file_and_flag_give_the_same_document(tmp_path, capsys, command, 
         with contextlib.suppress(ValueError):
             file_values.append(json.loads(value))  # a number also as a JSON number
     cfg = tmp_path / "run.json"
-    if command not in KEYS[key].commands:
+    if key not in KEYS or command not in KEYS[key].commands:
         with pytest.raises(SystemExit) as exc:
             main([command, *fixed, *by_flag])
         assert exc.value.code == 2
@@ -458,10 +482,12 @@ def test_verify_runs_every_check_id(tmp_path, monkeypatch, capsys, name):
     assert set(re.findall(r"`([^`]+)`", paragraph)) == set(_check_names())
 
 
-def test_shell_demo_runs():
-    root = Path(__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    demo = root / "demos" / "batch_verification_from_the_shell.py"
+_DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", _DEMOS, ids=[demo.name for demo in _DEMOS])
+def test_shell_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

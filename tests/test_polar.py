@@ -1,6 +1,7 @@
 """The polar route: sphere rules on ``{N = 1}`` and the weighted norms of
 fields that are not quasi-radial in the active norm."""
 
+import contextlib
 import itertools
 import math
 
@@ -10,6 +11,9 @@ from scipy.special import gamma
 
 from hgineq import (
     CorpusSpec,
+    DegenerateConstantError,
+    HgineqError,
+    InvalidParameterError,
     QuadratureConfig,
     annulus_cutoff,
     ckn_report,
@@ -30,7 +34,9 @@ from hgineq import (
 )
 from hgineq.calculus import _SAMPLE_ENTRIES, _SAMPLES, _grid_values
 from hgineq.fields import orbit_profiles
+from hgineq.norms import NORM_KINDS
 from hgineq.quadrature import polar_radial_nodes, sphere_rule
+from hgineq.reports import CHECKS, evaluate
 from conftest import catalog_pairs, sample_points
 
 GROUPS = ("r:3", "heis1", "aniso:1,2")
@@ -282,3 +288,30 @@ def test_sample_cache_stays_bounded_and_read_only(r3, config):
     for entry in _SAMPLES:
         with pytest.raises(ValueError):
             entry[-1][0, 0] = 0.0
+
+
+def _accepted_pairs():
+    for name in ("r:1", "r:2", *GROUPS):
+        for kind in NORM_KINDS:
+            with contextlib.suppress(HgineqError):
+                yield name, make_norm(parse_group(name), kind).kind
+
+
+@pytest.mark.parametrize("name,kind", list(_accepted_pairs()))
+def test_every_check_runs_on_a_product_and_an_opaque_field(name, kind):
+    """Every check id on both polar-route field kinds, for every norm the
+    group accepts; a point the check refuses is skipped, as ``verify`` does."""
+    group = parse_group(name)
+    norm = make_norm(group, kind)
+    product = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    point = {"p": 2.0, "alpha": 0.25, "beta": 0.5, "theta": 0.75, "k": 1, "m": 1}
+    for f in (product, _opaque(group, norm)):
+        ran = set()
+        for check_id in CHECKS:
+            try:
+                rep = evaluate(check_id, group, norm, f, point, QuadratureConfig(radial_order=16))
+            except (DegenerateConstantError, InvalidParameterError):
+                continue
+            assert rep.satisfied, (check_id, f.field_id)
+            ran.add(check_id)
+        assert {"ckn", "hardy", "l2-identity"} <= ran, f.field_id
