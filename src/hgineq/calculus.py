@@ -19,27 +19,23 @@ Three evaluation strategies coexist and are cross-checked in the tests:
 - *orbit finite differences*: central stencils along the orbit with
   Richardson extrapolation; needs only field values.
 
-Weighted norms ``|| f / N^a ||_p`` use the polar decomposition
-``dx = r^(Q-1) dr dsigma(w)`` along dilation orbits.  Quasi-radial fields
-collapse to one-dimensional integrals against ``sigma r^(Q-1) dr``, where
-``sigma`` is the area of the unit sphere ``{N = 1}``.  Their radial node
-sets are memoized, and a field's derivative stack is computed once per
-node set and reused across every norm, derivative order and report of
-that field; :func:`_profile_stack` keeps a fixed number of stacks.
-
-Every other field is integrated on the grid of log-panel radii times the
-nodes of :func:`~hgineq.quadrature.sphere_rule`: a product field's values
-there are an ``(R x M) @ (M x S)`` product of its orbit profiles (their
-profile stack comes from :func:`_profile_stack`) and sphere monomials.
-A field made by orbit finite differences along the orbits of the
-integration norm takes the grid form of its stencil: the grid already
-holds ``r = N(x)`` and ``w = D_(1/r) x``, so its base is evaluated at
-``D_t w`` for the stencil radii ``t = r + o h`` (``h`` proportional to
-``r``), built on the ``(R,)`` radii and broadcast against the sphere
-nodes; the pointwise closure (:func:`_orbit_fd_values`) shares the
-stencil.  Any other field is evaluated at the points ``D_r w``, and
-:func:`_samples` keeps those values for a fixed number of node sets, so
-the norms of one field on one grid share one evaluation.
+Weighted norms ``|| f / N^a ||_p`` and the combinations
+``|| sum_i c_i R^(k_i) f / N^(a_i) ||_2`` take one route,
+:func:`_polar_integral`: the polar decomposition
+``dx = r^(Q-1) dr dsigma(w)`` summed over log-panel radii times a sphere
+rule.  An integrand made of quasi-radial fields is constant on the sphere,
+so its rule is one node of weight ``sigma``, the area of ``{N = 1}``.
+Every other integrand takes the nodes of
+:func:`~hgineq.quadrature.sphere_rule`.  There a product field is an
+``(R x M) @ (M x S)`` product of its orbit profiles and sphere monomials,
+and a field made by orbit finite differences along the orbits of the
+integration norm samples its base at ``D_t w`` for the stencil radii
+``t = r + o h`` (``h`` proportional to ``r``); the pointwise closure
+(:func:`_orbit_fd_values`) shares the stencil.  Any other field is
+evaluated at the points ``D_r w``.  Derivative stacks
+(:func:`_profile_stack`) and opaque samples (:func:`_samples`) are kept
+for a fixed number of memoized node sets, so the norms, derivative orders
+and reports of one field share one evaluation.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from .errors import (
     SingularSupportError,
     UnsupportedDomainError,
 )
-from .fields import ScalarField, orbit_profiles, product_field, radial_field
+from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
 from .groups import radial_frame_combination
 from .profiles import annulus_cutoff
 from .quadrature import (
@@ -76,6 +72,9 @@ _ORBIT_FD_STENCILS = {
     5: ((-3, -2, -1, 1, 2, 3), (-0.5, 2.0, -2.5, 2.5, -2.0, 0.5)),
     6: ((-3, -2, -1, 0, 1, 2, 3), (1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0)),
 }
+
+#: the rounding allowance of a quadrature pass, relative to its value
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 _ORBIT_FD_STEP = {1: 1e-4}  # relative step; higher orders use 1e-3
 _MODES = ("auto", "analytic", "orbit_fd")
@@ -109,42 +108,37 @@ def _orbit_fd(k, r, sample):
     return (4.0 * d2 - d1) / 3.0
 
 
+def _radii(norm, pts):
+    r = np.asarray(norm(pts))
+    if np.any(r == 0):
+        raise SingularPointError("radial derivative undefined at the origin")
+    return r
+
+
 def _orbit_fd_values(group, norm, f, k):
     """Values closure for R^k f via central differences along orbits: the
     orbit through ``x`` is ``t -> D_t w`` with ``w = D_(1/N(x)) x``."""
     w = group.weight_array()
 
-    def values(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None] if single else x
-        r = np.asarray(norm(pts))
-        if np.any(r == 0):
-            raise SingularPointError("radial derivative undefined at the origin")
+    def values(pts):
+        r = _radii(norm, pts)
         xhat = pts * r[..., None] ** (-w)
 
         def sample(t):
             orbit_pts = t[..., None] ** w * xhat[None, ...]
             return f.values(orbit_pts.reshape((-1,) + pts.shape[-1:])).reshape(t.shape)
 
-        out = _orbit_fd(k, r, sample)
-        return out[0] if single else out
+        return _orbit_fd(k, r, sample)
 
-    return values
+    return _single_point_aware(values)
 
 
 def _gradient_contraction_values(group, norm, f):
-    def values(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None] if single else x
-        r = np.asarray(norm(pts))
-        if np.any(r == 0):
-            raise SingularPointError("radial derivative undefined at the origin")
-        out = radial_frame_combination(group, pts, f.gradient(pts)) / r
-        return out[0] if single else out
+    def values(pts):
+        r = _radii(norm, pts)
+        return radial_frame_combination(group, pts, f.gradient(pts)) / r
 
-    return values
+    return _single_point_aware(values)
 
 
 def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
@@ -202,8 +196,7 @@ def radial_derivative(group, norm, f, x, mode="analytic"):
     if mode not in ("analytic", "orbit_fd"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(np.asarray(norm(x)) == 0):
-        raise SingularPointError("radial derivative undefined at the origin")
+    _radii(norm, x)  # refuses the origin before any field is built
     return nth_radial_derivative(group, norm, f, 1, mode=mode).values(x)
 
 
@@ -314,9 +307,19 @@ def sphere_measure(group, norm, config=None):
     return sm
 
 
+def _keep(cache, size, ids, entry):
+    """Store ``entry`` as the newest of ``cache``, a dict keyed by the ids
+    of the objects ``entry`` holds (so the ids stay theirs), keep the
+    newest ``size`` entries, and return it.  A lookup pops its entry."""
+    cache[ids] = entry
+    if len(cache) > size:
+        del cache[next(iter(cache))]
+    return entry
+
+
 #: stacks kept: the full and the coarse node set of two fields
 _STACK_ENTRIES = 4
-_STACKS = []  # (root profile, node array, read-only stack), least recent first
+_STACKS = {}  # ids -> (root profile, node array, read-only stack)
 
 
 def _profile_stack(prof, r, order):
@@ -331,19 +334,12 @@ def _profile_stack(prof, r, order):
     """
     root, k = prof.root()
     need = k + order
-    for i, entry in enumerate(_STACKS):
-        if entry[0] is root and entry[1] is r:
-            del _STACKS[i]
-            break
-    else:
-        entry = None
-    if entry is None or len(entry[2]) <= need:
-        stack = root.derivatives(r, need)
-        stack.flags.writeable = False
-        entry = (root, r, stack)
-    _STACKS.append(entry)
-    del _STACKS[:-_STACK_ENTRIES]
-    return entry[2][k:need + 1]
+    ids = (id(root), id(r))
+    entry = _STACKS.pop(ids, None)
+    if entry is None or len(entry[-1]) <= need:
+        entry = (root, r, root.derivatives(r, need))
+        entry[-1].flags.writeable = False
+    return _keep(_STACKS, _STACK_ENTRIES, ids, entry)[-1][k:need + 1]
 
 
 def _radial_range(f, norm):
@@ -365,7 +361,7 @@ def _radial_range(f, norm):
 #: samples kept: an opaque field's values on the full and the coarse grid
 #: of two fields
 _SAMPLE_ENTRIES = 4
-_SAMPLES = []  # (values callable, radial nodes, sphere nodes, read-only samples)
+_SAMPLES = {}  # ids -> (values callable, radial nodes, sphere nodes, read-only samples)
 
 
 def _on_orbits(group, f, t, nodes):
@@ -379,17 +375,12 @@ def _samples(group, f, r, nodes):
     """:func:`_on_orbits` on a grid, kept for the last few (values
     callable, radial nodes, sphere nodes) triples, matched by identity:
     the norms of one field on one node set share one evaluation."""
-    for i, entry in enumerate(_SAMPLES):
-        if entry[0] is f.values and entry[1] is r and entry[2] is nodes:
-            del _SAMPLES[i]
-            break
-    else:
-        vals = _on_orbits(group, f, r, nodes)
-        vals.flags.writeable = False
-        entry = (f.values, r, nodes, vals)
-    _SAMPLES.append(entry)
-    del _SAMPLES[:-_SAMPLE_ENTRIES]
-    return entry[3]
+    ids = (id(f.values), id(r), id(nodes))
+    entry = _SAMPLES.pop(ids, None)
+    if entry is None:
+        entry = (f.values, r, nodes, _on_orbits(group, f, r, nodes))
+        entry[-1].flags.writeable = False
+    return _keep(_SAMPLES, _SAMPLE_ENTRIES, ids, entry)[-1]
 
 
 def _grid_values(group, norm, f, r, nodes):
@@ -413,66 +404,71 @@ def _grid_values(group, norm, f, r, nodes):
 
 def _polar_integral(group, norm, f, parts, p, config):
     """``int |sum_i c_i g_i N^(-a_i)|^p dx`` over the support of ``f`` for
-    ``parts = [(c_i, g_i, a_i), ...]`` (fields derived from ``f``), on the
-    grid of radial nodes times sphere nodes; returns ``(value, error)``.
+    ``parts = [(c_i, g_i, a_i), ...]`` (fields derived from ``f``), on
+    radial nodes times a sphere rule; returns ``(value, error)``.  The
+    support may touch the origin unless some ``a_i p > 0``.
 
-    The error is the difference against one pass at half the radial and
-    half the sphere order.
+    If every ``g_i`` is quasi-radial in ``norm``, the rule is one node of
+    weight ``sigma`` and the values are profile stacks; otherwise it is
+    :func:`~hgineq.quadrature.sphere_rule`.  ``r^(-a_0)`` is folded into
+    ``r^(Q - 1 - a_0 p)``, which keeps a lone part finite on radii spread
+    over many decades.  The error is the difference against one pass at
+    half the orders, plus sigma's error times the value.
     """
+    if f.support is None:
+        raise UnsupportedDomainError("field must declare a support annulus")
+    if f.support[0] <= 0.0 and any(a * p > 0 for _, _, a in parts):
+        raise SingularSupportError("support touches the origin under a singular weight")
     r_lo, r_hi = _radial_range(f, norm)
-    q_dim = group.homogeneous_dimension
+    a0 = parts[0][2]
+    expo = group.homogeneous_dimension - 1.0 - a0 * p
+    one_node = all([g.is_quasi_radial and _compatible(g.norm, norm) for _, g, _ in parts])
+    if one_node:
+        sm = sphere_measure(group, norm)
+        scale, scale_err = sm.value, sm.error
+    else:
+        scale, scale_err = 1.0, 0.0
 
     def one_pass(order, sphere_order):
         r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
-        nodes, sigma = sphere_rule(norm, sphere_order)
-        acc = 0.0
+        if one_node:
+            column = r
+        else:
+            nodes, sigma = sphere_rule(norm, sphere_order)
+            column = r[:, None]
+        acc = None
         for c, g, a in parts:
-            acc = acc + c * r[:, None] ** (-a) * _grid_values(group, norm, g, r, nodes)
-        return float((wr * r ** (q_dim - 1.0)) @ np.abs(acc) ** p @ sigma)
+            if one_node:
+                vals = _profile_stack(g.profile, r, 0)[0]
+            else:
+                vals = _grid_values(group, norm, g, r, nodes)
+            if a != a0:
+                vals = column ** (a0 - a) * vals
+            if c != 1:
+                vals = c * vals
+            acc = vals if acc is None else acc + vals
+        acc = np.abs(acc) ** p
+        if one_node:
+            return float(np.dot(wr, acc * r**expo))
+        return float((wr * r**expo) @ acc @ sigma)
 
-    full = one_pass(config.radial_order, config.sphere_order)
-    coarse = one_pass(max(2, config.radial_order // 2), max(2, config.sphere_order // 2))
-    err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
-    return max(full, 0.0), err
+    sphere_order = config.sphere_order
+    full = one_pass(config.radial_order, sphere_order)
+    coarse = one_pass(max(2, config.radial_order // 2), max(2, sphere_order // 2))
+    err = abs(full - coarse) + _ROUNDING * abs(full)
+    full = max(full, 0.0)
+    return scale * full, scale * err + scale_err * full
 
 
 def weighted_lp_norm(group, norm, f, weight, p, config=None):
-    """``|| f / N^weight ||_p`` over the group; returns ``(value, error)``.
-
-    Quasi-radial fields (matching the active norm) use the exact polar
-    factorization ``sigma * int |g|^p r^(Q - 1 - weight p) dr``; anything
-    else is integrated on the polar grid of radial and sphere nodes.
-    """
-    config = config or DEFAULT_CONFIG
+    """``|| f / N^weight ||_p`` over the group, the one-part case of
+    :func:`_polar_integral`; returns ``(value, error)``."""
     if not p >= 1.0:
         raise InvalidParameterError("p must satisfy p >= 1")
-    if f.support is None:
-        raise UnsupportedDomainError("field must declare a support annulus")
-    r0, r1 = f.support
-    if r0 <= 0.0 and weight * p > 0:
-        raise SingularSupportError("support touches the origin under a singular weight")
-    q_dim = group.homogeneous_dimension
-
-    if f.is_quasi_radial and _compatible(f.norm, norm):
-        sm = sphere_measure(group, norm)
-        expo = q_dim - 1.0 - weight * p
-        prof = f.profile
-
-        def integrand(r):
-            return np.abs(_profile_stack(prof, r, 0)[0]) ** p * r**expo
-
-        raw, raw_err = integrate_radial(integrand, r0, r1, config)
-        raw = max(raw, 0.0)
-        total = sm.value * raw
-        total_err = sm.value * raw_err + sm.error * raw
-    else:
-        total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p, config)
-
+    total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p,
+                                       config or DEFAULT_CONFIG)
     value = total ** (1.0 / p)
-    if value > 0:
-        error = value * (total_err / total) / p
-    else:
-        error = total_err ** (1.0 / p)
+    error = value * (total_err / total) / p if value > 0 else total_err ** (1.0 / p)
     return value, error
 
 
@@ -481,41 +477,13 @@ def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto"):
 
     ``terms`` is an iterable of ``(c_i, k_i, a_i)``.  Used by the exact
     second-order remainder identities, whose cross terms cannot be reduced
-    to single weighted norms.
+    to single weighted norms.  ``R^{k_i} f`` is taken in ``mode``.
     """
-    config = config or DEFAULT_CONFIG
-    terms = [(complex(c), int(k), float(a)) for c, k, a in terms]
-    if not terms:
+    parts = [(complex(c), nth_radial_derivative(group, norm, f, int(k), mode=mode), float(a))
+             for c, k, a in terms]
+    if not parts:
         raise InvalidParameterError("need at least one term")
-    if f.support is None:
-        raise UnsupportedDomainError("field must declare a support annulus")
-    r0, r1 = f.support
-    q_dim = group.homogeneous_dimension
-
-    if f.is_quasi_radial and _compatible(f.norm, norm) and mode != "orbit_fd":
-        kmax = max(k for _, k, _ in terms)
-        sm = sphere_measure(group, norm)
-        prof = f.profile
-
-        def integrand(r):
-            stack = _profile_stack(prof, r, kmax)
-            acc = np.zeros(r.shape, dtype=complex)
-            for c, k, a in terms:
-                acc += c * stack[k] * r ** (-a)
-            return np.abs(acc) ** 2 * r ** (q_dim - 1.0)
-
-        raw, raw_err = integrate_radial(integrand, r0, r1, config)
-        raw = max(raw, 0.0)
-        total = sm.value * raw
-        total_err = sm.value * raw_err + sm.error * raw
-    else:
-        if r0 <= 0.0:
-            raise SingularSupportError("support touches the origin under a singular weight")
-        parts = [
-            (c, nth_radial_derivative(group, norm, f, k, mode=mode), a) for c, k, a in terms
-        ]
-        total, total_err = _polar_integral(group, norm, f, parts, 2.0, config)
-
+    total, total_err = _polar_integral(group, norm, f, parts, 2.0, config or DEFAULT_CONFIG)
     value = math.sqrt(total)
     error = total_err / (2.0 * value) if value > 0 else math.sqrt(total_err)
     return value, error

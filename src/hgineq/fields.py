@@ -20,7 +20,6 @@ integrands safe near the origin.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -159,9 +158,12 @@ def radial_field(profile, norm, support=None, field_id=""):
 
     # probed on first use: a report on a quasi-radial field only ever
     # evaluates the profile's stack on radial nodes, never these values
-    @functools.cache
+    probed = []
+
     def dtype():
-        return _profile_dtype(profile, (r0, r1))
+        if not probed:
+            probed.append(_profile_dtype(profile, (r0, r1)))
+        return probed[0]
 
     def values(x):
         r = norm(x)

@@ -144,8 +144,9 @@ _ORIGIN_PANEL = 1e-3
 @functools.lru_cache(maxsize=64)
 def polar_radial_nodes(r_lo, r_hi, order, panels):
     """Radial nodes and weights of the polar route on ``[r_lo, r_hi]``:
-    log-spaced panels as in :func:`integrate_radial`, and for ``r_lo = 0``
-    one plain Gauss-Legendre panel on ``[0, r_hi * 1e-3]`` in front.
+    :func:`effective_panels` log-spaced panels (:func:`radial_log_nodes`),
+    and for ``r_lo = 0`` one plain Gauss-Legendre panel on
+    ``[0, r_hi * 1e-3]`` in front.
 
     Memoized with read-only arrays, like :func:`radial_log_nodes`.
     """
@@ -236,20 +237,18 @@ def sphere_rule(norm, order):
     return nodes, sigma
 
 
-def integrate_radial(fn, r_lo, r_hi, config=DEFAULT_CONFIG, auto_panels=True):
-    """Integrate ``fn`` (vectorized) over ``[r_lo, r_hi]``.
+def integrate_radial(fn, r_lo, r_hi, config=DEFAULT_CONFIG):
+    """Integrate ``fn`` (vectorized) over ``[r_lo, r_hi]`` on the nodes of
+    :func:`polar_radial_nodes`.
 
     Returns ``(value, error)``; the error is the difference against a
     half-order pass on the same panels.
     """
     if not 0 < r_lo < r_hi:
         raise InvalidParameterError("need 0 < r_lo < r_hi")
-    panels = (
-        effective_panels(r_lo, r_hi, config.radial_panels) if auto_panels else config.radial_panels
-    )
 
     def one_pass(order):
-        nodes, weights = radial_log_nodes(r_lo, r_hi, order, panels)
+        nodes, weights = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
         return float(np.dot(weights, fn(nodes)))
 
     full = one_pass(config.radial_order)

@@ -12,6 +12,7 @@ from hgineq import (
     QuadratureConfig,
     RadialProfile,
     SingularPointError,
+    SingularSupportError,
     annulus_cutoff,
     clear_sphere_measure_cache,
     constant_profile,
@@ -290,12 +291,50 @@ def test_weighted_combo_requires_terms(r3, config):
 
 
 def test_weighted_combo_fast_vs_generic(heis):
+    # profile stacks against orbit finite differences: 2.3e-7 apart here
     group, norm = heis
     f = _bump(norm, 0.5, 4.0)
-    cfg = QuadratureConfig(box_points=128)
-    fast, _ = weighted_combo_l2(group, norm, f, [(1.0, 1, 0.5), (0.3, 0, 1.5)], cfg)
-    slow, _ = weighted_combo_l2(group, norm, f, [(1.0, 1, 0.5), (0.3, 0, 1.5)], cfg, mode="orbit_fd")
-    assert slow == pytest.approx(fast, rel=0.05)
+    terms = [(1.0, 1, 0.5), (0.3, 0, 1.5)]
+    fast, _ = weighted_combo_l2(group, norm, f, terms)
+    slow, _ = weighted_combo_l2(group, norm, f, terms, mode="orbit_fd")
+    assert slow == pytest.approx(fast, rel=3e-6)
+
+
+def _one_term_fields(group, norm):
+    f = _bump(norm, 0.5, 4.0)
+    product = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    return f, product, generic_field(f.values, f.support, norm=norm, field_id="opaque")
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["radial", "product", "opaque"])
+def test_one_term_combo_is_a_weighted_norm(heis, index):
+    group, norm = heis
+    f = _one_term_fields(group, norm)[index]
+    for k, a in ((0, 0.5), (1, -0.25), (2, 1.0)):
+        combo, _ = weighted_combo_l2(group, norm, f, [(1.0, k, a)])
+        single, _ = weighted_lp_norm(group, norm, nth_radial_derivative(group, norm, f, k),
+                                     a, 2.0)
+        assert combo == pytest.approx(single, rel=1e-15, abs=0.0)
+
+
+def _opaque_gaussian(norm):
+    return generic_field(lambda x: np.exp(-0.5 * np.sum(x * x, axis=-1)), (0.0, 8.0),
+                         norm=norm, field_id="opaque-gauss")
+
+
+def test_origin_rule_is_one_for_norms_and_combos(r3):
+    # an opaque exp(-|x|^2/2) on a support that touches the origin: with no
+    # positive weight both routes take the origin panel, otherwise both refuse
+    group, norm = r3
+    f = _opaque_gaussian(norm)
+    combo, _ = weighted_combo_l2(group, norm, f, [(1.0, 1, 0.0), (1.0, 0, 0.0)])
+    assert combo**2 == pytest.approx(2.5 * math.pi**1.5 - 4.0 * math.pi, rel=1e-11)
+    value, _ = weighted_lp_norm(group, norm, f, 0.0, 2.0)
+    assert value**2 == pytest.approx(math.pi**1.5, rel=1e-13)
+    with pytest.raises(SingularSupportError):
+        weighted_lp_norm(group, norm, f, 0.5, 2.0)
+    with pytest.raises(SingularSupportError):
+        weighted_combo_l2(group, norm, f, [(1.0, 1, 0.0), (1.0, 0, 0.5)])
 
 
 # -- stack cache ----------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_sample_cache_stays_bounded_and_read_only(r3, config):
         g = generic_field(f.values, (0.2 + 0.001 * i, 5.0), norm=norm)
         weighted_lp_norm(group, norm, g, 0.0, 2.0, config)
     assert len(_SAMPLES) <= _SAMPLE_ENTRIES
-    for entry in _SAMPLES:
+    for entry in _SAMPLES.values():
         with pytest.raises(ValueError):
             entry[-1][0, 0] = 0.0
 

@@ -119,9 +119,11 @@ def test_mc_matches_box_within_3_sigma():
 
 
 def test_radial_halving_panels_converges():
+    # on [0.5, 10] at least 6 panels are used: 2 asked become 6, 8 stay 8
     fn = lambda r: np.exp(-r) * np.sin(r)
-    coarse, _ = integrate_radial(fn, 0.5, 10.0, QuadratureConfig(radial_order=4, radial_panels=2), auto_panels=False)
-    fine, _ = integrate_radial(fn, 0.5, 10.0, QuadratureConfig(radial_order=4, radial_panels=8), auto_panels=False)
+    assert effective_panels(0.5, 10.0, 2) == 6 and effective_panels(0.5, 10.0, 8) == 8
+    coarse, _ = integrate_radial(fn, 0.5, 10.0, QuadratureConfig(radial_order=4, radial_panels=2))
+    fine, _ = integrate_radial(fn, 0.5, 10.0, QuadratureConfig(radial_order=4, radial_panels=8))
     oracle, _ = quad(fn, 0.5, 10.0)
     assert abs(fine - oracle) < abs(coarse - oracle)
 
