@@ -32,7 +32,8 @@ and a field made by orbit finite differences along the orbits of the
 integration norm samples its base at ``D_t w`` for the stencil radii
 ``t = r + o h`` (``h`` proportional to ``r``); the pointwise closure
 (:func:`_orbit_fd_values`) shares the stencil.  Any other field is
-evaluated at the points ``D_r w``.  Derivative stacks
+evaluated at the points ``D_r w``.  Both opaque routes call the field in
+cache-sized blocks of radii (:func:`_on_orbits`).  Derivative stacks
 (:func:`_profile_stack`) and opaque samples (:func:`_samples`) are kept
 for a fixed number of memoized node sets, so the norms, derivative orders
 and reports of one field share one evaluation.
@@ -364,11 +365,20 @@ _SAMPLE_ENTRIES = 4
 _SAMPLES = {}  # ids -> (values callable, radial nodes, sphere nodes, read-only samples)
 
 
+#: points per call of an opaque field's values: a block's temporaries stay in L2
+_BLOCK = 1 << 14
+
+
 def _on_orbits(group, f, t, nodes):
     """``f(D_t w)`` at radii ``t`` (any shape) and sphere nodes ``w``
-    ``(S, n)``: shape ``t.shape + (S,)``."""
-    pts = t[..., None, None] ** group.weight_array() * nodes
-    return np.asarray(f.values(pts.reshape(-1, group.dim))).reshape(t.shape + (len(nodes),))
+    ``(S, n)``: shape ``t.shape + (S,)``.  ``f.values`` is called on blocks
+    of whole rows of radii, at most ``_BLOCK`` points (or one row) each, and
+    a block's points are built from its own radii: no array holds them all."""
+    rows = t.reshape(-1, 1, 1)
+    step = max(1, _BLOCK // len(nodes))
+    blocks = [f.values((rows[i:i + step] ** group.weight_array() * nodes).reshape(-1, group.dim))
+              for i in range(0, len(rows), step)]
+    return np.concatenate(blocks, axis=None).reshape(t.shape + (len(nodes),))
 
 
 def _samples(group, f, r, nodes):

@@ -204,8 +204,9 @@ def attained_quotient(group, norm, family, config=None):
     f = extremizer_field(group, norm, family)
     p = family.p
     rf = radial_field(f.profile.derivative(1), norm, field_id=f.field_id + "|R")
-    a_val, a_err = weighted_lp_norm(group, norm, f, family.gamma / p, p, config)
+    # Rf first: its norm builds the root stack to order 1, and f's reuse it
     b_val, b_err = weighted_lp_norm(group, norm, rf, family.alpha, p, config)
+    a_val, a_err = weighted_lp_norm(group, norm, f, family.gamma / p, p, config)
     c_val, c_err = weighted_lp_norm(group, norm, f, family.beta / (p - 1.0), p, config)
     if a_val == 0:
         raise InvalidParameterError("extremizer has vanishing weighted norm")

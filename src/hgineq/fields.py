@@ -278,7 +278,9 @@ def product_field(profile, poly, norm, support=None, field_id="", order=0):
 
 def generic_field(values, support, norm=None, gradient=None, field_id=""):
     """Wrap plain callables; ``support`` is interpreted in ``norm`` when
-    given, otherwise in the norm the field is integrated against."""
+    given, otherwise in the norm the field is integrated against.
+    ``values`` must be pointwise: weighted norms call it on blocks of the
+    polar grid, whose values may differ from one call's in the last bit."""
     if support is None:
         raise UnsupportedDomainError("generic field needs a declared support annulus")
     return ScalarField(

@@ -9,11 +9,13 @@ from hgineq import (
     ExtremizerFamily,
     InvalidParameterError,
     OutsidePureRegionError,
+    RadialProfile,
     attained_quotient,
     extremizer_field,
     extremizer_profile,
     hoelder_residual,
     sharpness_scan,
+    sphere_measure,
 )
 
 
@@ -81,6 +83,29 @@ def test_attained_quotient_above_target(r3, config):
     value, err = attained_quotient(group, norm, fam, config)
     assert value == pytest.approx(0.8675863275547874, rel=1e-9)
     assert value > 0.5 and err < 1e-4 * value
+
+
+def test_attained_quotient_builds_each_node_sets_stack_once(r3, config, monkeypatch):
+    group, norm = r3
+    fam = ExtremizerFamily(p=2.0, alpha=0.0, beta=1.0, eps=1e-2, r_out=1e2)
+    sphere_measure(group, norm)  # sigma's box integrand evaluates profiles too
+    orig = RadialProfile.derivatives
+    calls, depth = [], []
+
+    def counting(self, r, order):  # outermost calls: a profile's factors are profiles too
+        if not depth:
+            calls.append((self, order))
+        depth.append(self)
+        try:
+            return orig(self, r, order)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    attained_quotient(group, norm, fam, config)
+    # the full and the coarse grid, each to the order Rf needs
+    assert [order for _, order in calls] == [1, 1]
+    assert calls[0][0] is calls[1][0] and calls[0][0].root() == (calls[0][0], 0)
 
 
 def test_power_branch_gap_shrinks_logarithmically(r3, config):

@@ -4,12 +4,15 @@ fields that are not quasi-radial in the active norm."""
 import contextlib
 import itertools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from hgineq import (
+    DEFAULT_CONFIG,
     CorpusSpec,
     DegenerateConstantError,
     HgineqError,
@@ -32,7 +35,7 @@ from hgineq import (
     sphere_measure,
     weighted_lp_norm,
 )
-from hgineq.calculus import _SAMPLE_ENTRIES, _SAMPLES, _grid_values
+from hgineq.calculus import _BLOCK, _SAMPLE_ENTRIES, _SAMPLES, _grid_values, _on_orbits
 from hgineq.fields import orbit_profiles
 from hgineq.norms import NORM_KINDS
 from hgineq.quadrature import polar_radial_nodes, sphere_rule
@@ -237,45 +240,97 @@ def test_orbit_fd_under_another_norm_takes_the_pointwise_route(heis, config):
     group, koranyi = heis
     mx = make_norm(group, "max")
     fk = nth_radial_derivative(group, koranyi, _opaque(group, koranyi), 1)
+    seen = []
+
+    def recording(x):
+        seen.append(x.copy())
+        return fk.values(x)
+
     r, _ = polar_radial_nodes(0.2, 10.0, config.radial_order, config.radial_panels)
     nodes, _ = sphere_rule(mx, config.sphere_order)
-    grid = _grid_values(group, mx, fk, r, nodes)
-    np.testing.assert_array_equal(grid.ravel(), fk.values(_grid_points(group, r, nodes)))
+    grid = _grid_values(group, mx, replace(fk, values=recording), r, nodes)
+    np.testing.assert_array_equal(np.concatenate(seen), _grid_points(group, r, nodes))
+    np.testing.assert_array_equal(grid.ravel(), np.concatenate([fk.values(x) for x in seen]))
+
+
+def _counting_opaque(values, support, norm):
+    """An opaque field that records how many points each call asks for."""
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return values(x)
+
+    return generic_field(counting, support, norm=norm), calls
+
+
+def _grid_total(norm, support, config):
+    """Points of the full and the coarse polar grid on ``support``."""
+    passes = ((config.radial_order, config.sphere_order),
+              (max(2, config.radial_order // 2), max(2, config.sphere_order // 2)))
+    return sum(len(polar_radial_nodes(*support, order, config.radial_panels)[0])
+               * len(sphere_rule(norm, sphere_order)[0]) for order, sphere_order in passes)
 
 
 def test_generic_ckn_report_evaluates_the_field_once_per_node_set(r3):
     group, norm = r3
     f = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
-    calls = []
-
-    def counting(x):
-        calls.append(len(x))
-        return f.values(x)
-
-    opaque = generic_field(counting, f.support, norm=norm)
+    opaque, calls = _counting_opaque(f.values, f.support, norm)
     rep = ckn_report(group, norm, opaque, 2.0, 0.0, 1.0)
     assert rep.satisfied
     # norm_lhs and norm_dual share one evaluation on each of the full and
     # the coarse grid; the orbit FD of norm_deriv samples each grid twice
-    assert len(calls) == 6
+    # at two stencil offsets
+    assert sum(calls) == 5 * _grid_total(norm, f.support, DEFAULT_CONFIG)
+    assert max(calls) <= _BLOCK
 
 
 def test_opaque_field_touching_the_origin_is_evaluated_once_per_node_set(r3, config):
     group, norm = r3
     g = radial_field(gaussian_profile(1.0), norm, support=(1e-6, 5.0))
-    calls = []
-
-    def counting(x):
-        calls.append(len(x))
-        return g.values(x)
-
-    opaque = generic_field(counting, (0.0, 5.0), norm=norm)
+    opaque, calls = _counting_opaque(g.values, (0.0, 5.0), norm)
     first = weighted_lp_norm(group, norm, opaque, 0.0, 2.0, config)
     assert weighted_lp_norm(group, norm, opaque, 0.0, 1.5, config)[0] != first[0]
-    assert len(calls) == 2  # the full and the coarse grid, once each
+    # the full and the coarse grid, once each
+    assert sum(calls) == _grid_total(norm, (0.0, 5.0), config)
+    assert max(calls) <= _BLOCK
     r, wr = polar_radial_nodes(0.0, 5.0, config.radial_order, config.radial_panels)
     assert polar_radial_nodes(0.0, 5.0, config.radial_order, config.radial_panels)[0] is r
     assert not r.flags.writeable and not wr.flags.writeable
+
+
+def test_blocks_give_the_values_of_one_call(r3, config):
+    group, norm = r3
+    r, _ = polar_radial_nodes(0.2, 5.0, 2 * config.radial_order, config.radial_panels)
+    nodes, _ = sphere_rule(norm, config.sphere_order)
+    t = np.stack([0.99 * r, 1.01 * r])  # the shape of a stencil's radii
+    assert t.size * len(nodes) > 4 * _BLOCK
+    pts = (t[..., None, None] ** group.weight_array() * nodes).reshape(-1, group.dim)
+    real = radial_field(gaussian_profile(1.0), norm, support=(0.1, 6.0))
+    opaque, calls = _counting_opaque(real.values, real.support, norm)
+    blocked = _on_orbits(group, opaque, t, nodes)
+    assert len(calls) > 4 and max(calls) <= _BLOCK
+    assert blocked.shape == t.shape + (len(nodes),)
+    np.testing.assert_array_equal(blocked.ravel(), real.values(pts))
+    # complex products round a block's tail elements differently
+    product = _opaque(group, norm)
+    blocked = _on_orbits(group, product, t, nodes).ravel()
+    single = product.values(pts)
+    assert np.iscomplexobj(single)
+    assert np.max(np.abs(blocked - single)) <= 1e-15 * np.max(np.abs(single))
+
+
+def test_opaque_report_peak_allocation_stays_small(r3):
+    # one call on the whole stencil grid (2 x 256 x 288 points) peaked at 29 MB
+    group, norm = r3
+    opaque = _opaque(group, norm, seed=5)
+    tracemalloc.start()
+    try:
+        ckn_report(group, norm, opaque, 2.0, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_sample_cache_stays_bounded_and_read_only(r3, config):
