@@ -32,7 +32,7 @@ from .corpus import CorpusSpec, make_corpus
 from .errors import ConfigError, DegenerateConstantError, HgineqError, InvalidParameterError
 from .extremizers import sharpness_scan
 from .groups import parse_group
-from .io import load_config_file, write_reports
+from .io import load_config_file, render_document, write_reports
 from .norms import default_norm, make_norm
 from .quadrature import QuadratureConfig
 from .reports import ALIASES, CHECKS, VARIANTS, evaluate
@@ -295,7 +295,7 @@ def _cmd_scan(cfg, given):
         doc["target_gap_met"] = bool(
             doc["best_gap"] is not None and doc["best_gap"] <= target_gap
         )
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg["out"])
+    _emit(render_document(doc), cfg["out"])
     gap = doc["best_gap"]
     print(
         f"scan-sharpness: target {scan.target:.6g}, best attained "
@@ -318,7 +318,7 @@ def _cmd_scan(cfg, given):
 def _cmd_sigma(cfg, given):
     group, norm, quad = _setup(cfg)
     sm = sphere_measure(group, norm, config=quad)
-    _emit(json.dumps(sm.to_dict(), indent=2, sort_keys=True) + "\n", cfg["out"])
+    _emit(render_document(sm.to_dict()), cfg["out"])
     print(f"sphere-measure: {sm.value:.12g} +/- {sm.error:.3g} ({sm.method})",
           file=sys.stderr)
     return 0
@@ -351,7 +351,7 @@ def _cmd_constants(cfg, given):
         m=first("m"),
     )
     doc = {"group": group.name, "Q": q_dim, "p": cfg["p"][0], "constants": table}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", cfg["out"])
+    _emit(render_document(doc), cfg["out"])
     return 0
 
 

@@ -1,8 +1,16 @@
 """Report serialization: versioned JSON documents and flat CSV tables.
 
-JSON round-trips losslessly (``reports -> document -> reports``); CSV is
-a lossy flat view with one row per report.  Documents are deterministic
-byte-for-byte unless a timestamp is explicitly requested.
+Every JSON document, the report documents and the CLI's other documents
+alike, is written by :func:`render_document` in one pass.  Its bytes are
+those of the standard library's ``json.dumps`` of ``_jsonable(doc)`` with
+a two-space indent and sorted keys, plus a final newline.  Documents are
+deterministic byte-for-byte unless a timestamp is explicitly requested.
+
+Reading a report document back with ``document_reports(json.loads(text))``
+gives reports equal to the originals in every field except ``params`` and
+``detail``, which come back equal to their :func:`_jsonable` form: tuples
+as lists, numpy scalars as Python scalars and complex numbers as
+``{"re", "im"}`` objects.  CSV is a lossy flat view with one row per report.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import csv
 import io as _io
 import json
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import ConfigError
 from .reports import InequalityReport
@@ -34,24 +43,30 @@ CSV_COLUMNS = (
 )
 
 
+#: The fields of a report's document entry (``ratio`` is a property).
+_REPORT_FIELDS = (
+    "check_id",
+    "group",
+    "norm",
+    "field_id",
+    "kind",
+    "params",
+    "constant",
+    "lhs",
+    "rhs",
+    "ratio",
+    "margin",
+    "satisfied",
+    "trivial",
+    "config_digest",
+    "detail",
+)
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def report_to_dict(report):
-    return _jsonable({
-        "check_id": report.check_id,
-        "group": report.group,
-        "norm": report.norm,
-        "field_id": report.field_id,
-        "kind": report.kind,
-        "params": dict(report.params),
-        "constant": report.constant,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "margin": report.margin,
-        "satisfied": report.satisfied,
-        "trivial": report.trivial,
-        "config_digest": report.config_digest,
-        "detail": report.detail,
-    })
+    return _jsonable(report)
 
 
 def report_from_dict(data):
@@ -73,11 +88,12 @@ def report_from_dict(data):
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _leaf(obj):
+    """What ``obj``, neither a dict nor a list nor a tuple, stands for in a
+    document: a report its fields, a complex number ``{"re", "im"}``, a
+    numpy scalar its Python value, anything else itself."""
+    if isinstance(obj, InequalityReport):
+        return {k: getattr(obj, k) for k in _REPORT_FIELDS}
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if hasattr(obj, "item"):  # numpy scalars
@@ -85,14 +101,28 @@ def _jsonable(obj):
     return obj
 
 
-def reports_document(reports, meta=None, timestamp=False):
-    """Assemble the versioned JSON document for a list of reports."""
-    doc = {"schema": SCHEMA_VERSION, "reports": [report_to_dict(r) for r in reports]}
+def _jsonable(obj):
+    """``obj`` as plain dicts, lists and Python scalars."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    leaf = _leaf(obj)
+    return _jsonable(leaf) if isinstance(leaf, dict) else leaf
+
+
+def _document(reports, meta, timestamp):
+    doc = {"schema": SCHEMA_VERSION, "reports": list(reports)}
     if meta:
-        doc["meta"] = _jsonable(dict(meta))
+        doc["meta"] = dict(meta)
     if timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     return doc
+
+
+def reports_document(reports, meta=None, timestamp=False):
+    """Assemble the versioned JSON document for a list of reports."""
+    return _jsonable(_document(reports, meta, timestamp))
 
 
 def document_reports(doc):
@@ -103,7 +133,84 @@ def document_reports(doc):
 
 
 def render_json(reports, meta=None, timestamp=False):
-    return json.dumps(reports_document(reports, meta, timestamp), indent=2, sort_keys=True) + "\n"
+    """The text of :func:`reports_document`, written straight from the reports."""
+    return render_document(_document(reports, meta, timestamp))
+
+
+def render_document(doc):
+    """The text of ``doc``: ``json.dumps`` of ``_jsonable(doc)`` with a
+    two-space indent and sorted keys, plus a newline, byte for byte.  One
+    pass writes it, converting each leaf as it meets it."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out, nl):
+    """Append the text of ``obj`` to ``out``; ``nl`` is a newline followed by
+    the indent of the line ``obj`` starts on."""
+    if isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _encode_str(_key_text(key)) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        leaf = _leaf(obj)
+        if leaf is obj:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        _write(leaf, out, nl)
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _key_text(key):
+    """A dict key as ``json.dumps`` writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def render_csv(reports):

@@ -324,14 +324,25 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
 
     factors = [fac for _, facs in sides.lhs + sides.rhs for fac in facs]
     fields = {}
+    top = None
     for spec, _, _ in factors:
-        if isinstance(spec, Norm) and spec.k not in fields:
-            fields[spec.k] = nth_radial_derivative(group, norm, f, spec.k, mode=mode)
+        if isinstance(spec, Norm):
+            if spec.k not in fields:
+                fields[spec.k] = nth_radial_derivative(group, norm, f, spec.k, mode=mode)
+            if top is None or spec.k > top.k:
+                top = spec
+    # the highest-order norm is measured first: the derivative stack a
+    # quasi-radial field builds for it on a node set serves every lower
+    # order, so no stack is built twice; the rest follow in table order
+    first = weighted_lp_norm(group, norm, fields[top.k], top.weight, top.p, config)
     detail = dict(sides.detail)
 
     def measure(spec, key):
         if isinstance(spec, Norm):
-            out = weighted_lp_norm(group, norm, fields[spec.k], spec.weight, spec.p, config)
+            if spec is top:
+                out = first
+            else:
+                out = weighted_lp_norm(group, norm, fields[spec.k], spec.weight, spec.p, config)
             if key:
                 detail[key] = out
         else:

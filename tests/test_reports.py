@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hgineq import (
+    CorpusSpec,
     DegenerateConstantError,
     InvalidParameterError,
     PolyFactor,
@@ -17,12 +18,15 @@ from hgineq import (
     l2_identity_report,
     l2_sharp_report,
     log_gaussian_profile,
+    make_corpus,
     parse_group,
     product_field,
     radial_field,
     reports,
+    sphere_measure,
     uncertainty_report,
 )
+from hgineq.profiles import RadialProfile
 
 PI32 = math.pi**1.5
 
@@ -232,3 +236,27 @@ def test_margin_propagation_first_order_and_zero_rule():
                                   (1.0, [(5.0, 0.25, 1.0)])])
     assert value == 24.0 + 5.0
     assert error == pytest.approx(3.0 * (8e-3 + 2e-3) + 0.25)
+
+
+def test_report_builds_each_node_sets_stack_once(r3, config, monkeypatch):
+    group, norm = r3
+    spec = CorpusSpec(count=1, seed=11, radial_fraction=1.0)
+    f = make_corpus(group, norm, spec)[0]
+    sphere_measure(group, norm)  # sigma's box integrand evaluates profiles too
+    orig = RadialProfile.derivatives
+    calls, depth = [], []
+
+    def counting(self, r, order):  # outermost calls: a profile's factors are profiles too
+        if not depth:
+            calls.append((self, order))
+        depth.append(self)
+        try:
+            return orig(self, r, order)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    ckn_report(group, norm, f, 2.0, 0.0, 1.0, config=config)
+    # the ||Rf|| norm first, then ||f|| twice from the same stacks; measured
+    # in table order this was [0, 0, 1, 1]
+    assert [order for _, order in calls] == [1, 1]
