@@ -86,14 +86,16 @@ KEYS = {
     "radial_order": Key(None, int, _NUMERIC,
                         "Gauss order per radial panel; also sets the sphere rule's order"),
     "radial_panels": Key(None, int, _NUMERIC, "least number of log-spaced radial panels"),
-    "box_points": Key(None, int, _NUMERIC, "box points per axis of the sphere measure's rule"),
+    "box_points": Key(None, int, ("sphere-measure",),
+                      "box points per axis of the sphere measure's rule"),
     "timestamp": Key(False, _flag, _CORPUS,
                      "embed a generation timestamp (breaks byte determinism)"),
     "verbose": Key(False, _flag, _CORPUS, "warn about each skipped grid point"),
     "checks": Key(("ckn", "hardy"), str.strip, ("verify",), "comma list", many=True,
                   choices=(*CHECKS, *ALIASES, *VARIANTS), flags=("--check",)),
     "p": Key((2.0,), float, _POINT,
-             "comma list of integrability exponents (scan-sharpness: one)", many=True),
+             "comma list of integrability exponents (scan-sharpness, constants: one)",
+             many=True),
     "alpha": Key((0.0,), float, (*_POINT, "identity-check"), "comma list", many=True),
     "beta": Key((1.0,), float, _POINT, "comma list", many=True),
     "theta": Key((1.0,), float, ("verify", "constants"), "comma list", many=True),
@@ -233,6 +235,13 @@ def _run_grid(group, norm, fields, checks, cfg, quad):
     return reports, skipped
 
 
+def _single(cfg, command, keys):
+    """The one value of each of ``keys``; a list of more is a ConfigError."""
+    if any(len(cfg[key]) != 1 for key in keys):
+        raise ConfigError(f"{command} takes single {', '.join(keys)} values")
+    return [cfg[key][0] for key in keys]
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -274,13 +283,9 @@ def _cmd_verify(cfg, given):
 
 def _cmd_scan(cfg, given):
     group, norm, quad = _setup(cfg)
-    if len(cfg["p"]) != 1 or len(cfg["alpha"]) != 1 or len(cfg["beta"]) != 1:
-        raise ConfigError("scan-sharpness takes single p, alpha, beta values")
+    p, alpha, beta = _single(cfg, "scan-sharpness", ("p", "alpha", "beta"))
     target_gap = cfg["target_gap"]
-    scan = sharpness_scan(
-        group, norm, cfg["p"][0], cfg["alpha"][0], cfg["beta"][0],
-        schedule=cfg["schedule"], config=quad,
-    )
+    scan = sharpness_scan(group, norm, p, alpha, beta, schedule=cfg["schedule"], config=quad)
     doc = scan.to_dict()
     # attained quotients may only approach the sharp constant from above;
     # undercutting it beyond the margin would falsify the inequality itself
@@ -336,21 +341,12 @@ def _cmd_identity(cfg, given):
 
 def _cmd_constants(cfg, given):
     group = parse_group(cfg["group"])
-
-    def first(key):
-        return cfg[key][0] if key in given else None
-
+    keys = ("p", "alpha", "beta", "theta", "k", "m")
+    p, *values = _single(cfg, "constants", keys)
+    point = {key: value if key in given else None for key, value in zip(keys[1:], values)}
     q_dim = group.homogeneous_dimension
-    table = constant_table(
-        q_dim,
-        cfg["p"][0],
-        alpha=first("alpha"),
-        beta=first("beta"),
-        theta=first("theta"),
-        k=first("k"),
-        m=first("m"),
-    )
-    doc = {"group": group.name, "Q": q_dim, "p": cfg["p"][0], "constants": table}
+    table = constant_table(q_dim, p, **point)
+    doc = {"group": group.name, "Q": q_dim, "p": p, "constants": table}
     _emit(render_document(doc), cfg["out"])
     return 0
 

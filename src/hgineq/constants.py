@@ -2,15 +2,18 @@
 
 Every constant is assembled from first-order factors so that iterated
 constants are *bit-identical* to the product of their single-step
-counterparts.  A vanishing factor raises
+counterparts.  Each product constant passes its factors ``d_j`` through
+one helper, :func:`_factors`: a vanishing factor raises
 :class:`~hgineq.errors.DegenerateConstantError` carrying the 0-based index
-of the offending factor.
+of the offending factor and the constant's own reason.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import reduce
+from operator import truediv
 
 from .errors import DegenerateConstantError, InvalidParameterError
 
@@ -36,15 +39,25 @@ def ckn_constant(q_dim, gamma, p):
     return abs(q_dim - gamma) / p
 
 
+def _factors(ds, reason, **values):
+    """The ``|d_j|`` of a constant's first-order factors ``d_j``, in order.
+
+    A vanishing ``d_j`` raises :class:`DegenerateConstantError` with
+    ``factor_index=j`` and ``reason.format(j=j, **values)``.
+    """
+    out = []
+    for j, d in enumerate(ds):
+        if d == 0.0:
+            raise DegenerateConstantError(reason.format(j=j, **values), factor_index=j)
+        out.append(abs(d))
+    return out
+
+
 def hardy_step_constant(q_dim, p, alpha):
     """``p / |Q - p (alpha + 1)|`` — one weighted first-order step."""
     validate_p(p)
-    d = q_dim - p * (alpha + 1.0)
-    if d == 0.0:
-        raise DegenerateConstantError(
-            f"Q - p(alpha+1) vanishes at alpha={alpha:g}", factor_index=0
-        )
-    return p / abs(d)
+    return p / _factors([q_dim - p * (alpha + 1.0)],
+                        "Q - p(alpha+1) vanishes at alpha={alpha:g}", alpha=alpha)[0]
 
 
 def iterated_hardy_constant(q_dim, p, theta, k):
@@ -52,16 +65,11 @@ def iterated_hardy_constant(q_dim, p, theta, k):
     at shifted weights ``theta, theta - 1, ..., theta - k + 1``."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    out = 1.0
-    for j in range(k):
-        try:
-            out *= hardy_step_constant(q_dim, p, theta - j)
-        except DegenerateConstantError:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: Q = p(theta+1-j) at theta={theta:g}",
-                factor_index=j,
-            ) from None
-    return out
+    validate_p(p)
+    return math.prod([p / d for d in _factors(
+        [q_dim - p * ((theta - j) + 1.0) for j in range(k)],
+        "factor j={j} vanishes: Q = p(theta+1-j) at theta={theta:g}", theta=theta)],
+        start=1.0)
 
 
 def ladder_constant_alpha(q_dim, p, alpha, m):
@@ -70,15 +78,9 @@ def ladder_constant_alpha(q_dim, p, alpha, m):
     validate_p(p)
     if m < 0:
         raise InvalidParameterError("m must be >= 0")
-    out = 1.0
-    for j in range(m):
-        d = q_dim - p * (alpha - j)
-        if d == 0.0:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: Q = p(alpha - j)", factor_index=j
-            )
-        out *= p / abs(d)
-    return out
+    return math.prod([p / d for d in _factors(
+        [q_dim - p * (alpha - j) for j in range(m)],
+        "factor j={j} vanishes: Q = p(alpha - j)")], start=1.0)
 
 
 def ladder_constant_beta(q_dim, p, beta, k):
@@ -87,15 +89,9 @@ def ladder_constant_beta(q_dim, p, beta, k):
     validate_p(p)
     if k < 0:
         raise InvalidParameterError("k must be >= 0")
-    base = 1.0
-    for j in range(k):
-        d = q_dim - p * (beta / (p - 1.0) - j)
-        if d == 0.0:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: Q = p(beta/(p-1) - j)", factor_index=j
-            )
-        base *= p / abs(d)
-    return base ** (p - 1.0)
+    return math.prod([p / d for d in _factors(
+        [q_dim - p * (beta / (p - 1.0) - j) for j in range(k)],
+        "factor j={j} vanishes: Q = p(beta/(p-1) - j)")], start=1.0) ** (p - 1.0)
 
 
 def uncertainty_constant(q_dim, p):
@@ -109,15 +105,9 @@ def l2_iterated_constant(q_dim, alpha, k):
     remainder identity."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    out = 1.0
-    for j in range(k):
-        d = 0.5 * (q_dim - 2.0) - (alpha + j)
-        if d == 0.0:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: (Q-2)/2 = alpha + j", factor_index=j
-            )
-        out /= abs(d)
-    return out
+    return reduce(truediv, _factors(
+        [0.5 * (q_dim - 2.0) - (alpha + j) for j in range(k)],
+        "factor j={j} vanishes: (Q-2)/2 = alpha + j"), 1.0)
 
 
 def combined_first_constant(q_dim, beta, k):
@@ -125,15 +115,9 @@ def combined_first_constant(q_dim, beta, k):
     derivative against order ``k``."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    out = 1.0
-    for j in range(k):
-        d = 0.5 * (q_dim - 2.0) - (beta - k + j)
-        if d == 0.0:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: (Q-2)/2 = beta - k + j", factor_index=j
-            )
-        out /= abs(d)
-    return out
+    return reduce(truediv, _factors(
+        [0.5 * (q_dim - 2.0) - (beta - k + j) for j in range(k)],
+        "factor j={j} vanishes: (Q-2)/2 = beta - k + j"), 1.0)
 
 
 def combined_high_constant(q_dim, alpha, k):
@@ -141,15 +125,9 @@ def combined_high_constant(q_dim, alpha, k):
     ``k + 1`` against the undifferentiated field."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    out = 1.0
-    for j in range(k):
-        d = 0.5 * (q_dim - 2.0) - (alpha - k + j)
-        if d == 0.0:
-            raise DegenerateConstantError(
-                f"factor j={j} vanishes: (Q-2)/2 = alpha - k + j", factor_index=j
-            )
-        out /= abs(d)
-    return out
+    return reduce(truediv, _factors(
+        [0.5 * (q_dim - 2.0) - (alpha - k + j) for j in range(k)],
+        "factor j={j} vanishes: (Q-2)/2 = alpha - k + j"), 1.0)
 
 
 def constant_table(q_dim, p, alpha=None, beta=None, theta=None, k=None, m=None):

@@ -228,6 +228,69 @@ def test_constants_table(tmp_path):
     assert doc["constants"]["hardy_step"]["factor_index"] == 0
 
 
+@pytest.mark.parametrize("key,value", [("p", "2,3"), ("alpha", "0,1"), ("beta", "1,2"),
+                                       ("theta", "0.5,1"), ("k", "1,2"), ("m", "0,1")])
+def test_constants_refuses_a_list_it_would_drop(tmp_path, capsys, key, value):
+    code, text = run(tmp_path, "constants", "--group", "r:3", f"--{key}", value)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "constants takes single p, alpha, beta, theta, k, m values" in err
+
+
+# heis1 (Q = 4), p = 2, alpha = beta = 1, theta = k = 2, m = 0: three
+# constants degenerate, each with its own reason, and the empty ladder
+# product is the float 1.0
+_GOLDEN_CONSTANTS = """\
+{
+  "Q": 4.0,
+  "constants": {
+    "ckn": {
+      "value": 0.5
+    },
+    "combined_first": {
+      "value": 0.5
+    },
+    "combined_high": {
+      "value": 0.5
+    },
+    "hardy_step": {
+      "degenerate": true,
+      "factor_index": 0,
+      "reason": "Q - p(alpha+1) vanishes at alpha=1"
+    },
+    "iterated_hardy": {
+      "degenerate": true,
+      "factor_index": 1,
+      "reason": "factor j=1 vanishes: Q = p(theta+1-j) at theta=2"
+    },
+    "l2_iterated": {
+      "degenerate": true,
+      "factor_index": 0,
+      "reason": "factor j=0 vanishes: (Q-2)/2 = alpha + j"
+    },
+    "ladder_alpha": {
+      "value": 1.0
+    },
+    "ladder_beta": {
+      "value": 0.5
+    },
+    "uncertainty": {
+      "value": 1.0
+    }
+  },
+  "group": "heis1",
+  "p": 2.0
+}
+"""
+
+
+def test_constants_document_at_a_degenerate_point(tmp_path):
+    code, text = run(tmp_path, "constants", "--group", "heis1", "--p", "2", "--alpha", "1",
+                     "--beta", "1", "--theta", "2", "--k", "2", "--m", "0")
+    assert code == 0
+    assert text == _GOLDEN_CONSTANTS
+
+
 def test_resolution_flag_reaches_quadrature(tmp_path):
     code, text = run(
         tmp_path, "verify", "--group", "r:3", "--check", "ckn", "--count", "2",
@@ -246,14 +309,16 @@ _DIGEST_BASE = {"radial_order": 32, "radial_panels": 8, "box_points": 192}
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(QuadratureConfig)])
 def test_doubling_one_quadrature_field_changes_a_number(tmp_path, field):
-    """No quadrature field changes the config digest without changing a
-    number of a document that records the digest.  Reports take sigma at
-    the default configuration, so box_points shows in sigma's document."""
+    """No quadrature field a subcommand takes changes the config digest
+    without changing a number of a document that records the digest.
+    Reports take sigma at the default configuration, so only
+    sphere-measure takes box_points."""
     def numbers(**changed):
-        flags = [f"--{key.replace('_', '-')}={value}"
-                 for key, value in {**_DIGEST_BASE, **changed}.items()]
         texts = []
         for command in (("verify", "--check", "ckn", "--count", "4"), ("sphere-measure",)):
+            flags = [f"--{key.replace('_', '-')}={value}"
+                     for key, value in {**_DIGEST_BASE, **changed}.items()
+                     if command[0] in KEYS[key].commands]
             code, text = run(tmp_path, *command, "--group", "r:3", *flags)
             assert code == 0
             texts.append(re.sub(r'"config_digest": "\w+"', "", text))

@@ -139,3 +139,174 @@ def test_constant_table_values_and_degeneracies():
     # minimal call computes only what the parameters allow
     small = constant_table(3.0, 2.0)
     assert "ckn" not in small and "uncertainty" in small
+
+
+# The reference: each product constant as a loop of its own, with its own
+# zero check and raise.  The constants above must match these bit for bit.
+
+
+def _ref_hardy_step(q_dim, p, alpha):
+    validate_p(p)
+    d = q_dim - p * (alpha + 1.0)
+    if d == 0.0:
+        raise DegenerateConstantError(
+            f"Q - p(alpha+1) vanishes at alpha={alpha:g}", factor_index=0
+        )
+    return p / abs(d)
+
+
+def _ref_iterated_hardy(q_dim, p, theta, k):
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    out = 1.0
+    for j in range(k):
+        try:
+            out *= _ref_hardy_step(q_dim, p, theta - j)
+        except DegenerateConstantError:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: Q = p(theta+1-j) at theta={theta:g}",
+                factor_index=j,
+            ) from None
+    return out
+
+
+def _ref_ladder_alpha(q_dim, p, alpha, m):
+    validate_p(p)
+    if m < 0:
+        raise InvalidParameterError("m must be >= 0")
+    out = 1.0
+    for j in range(m):
+        d = q_dim - p * (alpha - j)
+        if d == 0.0:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: Q = p(alpha - j)", factor_index=j
+            )
+        out *= p / abs(d)
+    return out
+
+
+def _ref_ladder_beta(q_dim, p, beta, k):
+    validate_p(p)
+    if k < 0:
+        raise InvalidParameterError("k must be >= 0")
+    base = 1.0
+    for j in range(k):
+        d = q_dim - p * (beta / (p - 1.0) - j)
+        if d == 0.0:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: Q = p(beta/(p-1) - j)", factor_index=j
+            )
+        base *= p / abs(d)
+    return base ** (p - 1.0)
+
+
+def _ref_l2_iterated(q_dim, alpha, k):
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    out = 1.0
+    for j in range(k):
+        d = 0.5 * (q_dim - 2.0) - (alpha + j)
+        if d == 0.0:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: (Q-2)/2 = alpha + j", factor_index=j
+            )
+        out /= abs(d)
+    return out
+
+
+def _ref_combined_first(q_dim, beta, k):
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    out = 1.0
+    for j in range(k):
+        d = 0.5 * (q_dim - 2.0) - (beta - k + j)
+        if d == 0.0:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: (Q-2)/2 = beta - k + j", factor_index=j
+            )
+        out /= abs(d)
+    return out
+
+
+def _ref_combined_high(q_dim, alpha, k):
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    out = 1.0
+    for j in range(k):
+        d = 0.5 * (q_dim - 2.0) - (alpha - k + j)
+        if d == 0.0:
+            raise DegenerateConstantError(
+                f"factor j={j} vanishes: (Q-2)/2 = alpha - k + j", factor_index=j
+            )
+        out /= abs(d)
+    return out
+
+
+# (constant, reference, whether it takes p, whether it takes an order)
+_ORACLE = [
+    (hardy_step_constant, _ref_hardy_step, True, False),
+    (iterated_hardy_constant, _ref_iterated_hardy, True, True),
+    (ladder_constant_alpha, _ref_ladder_alpha, True, True),
+    (ladder_constant_beta, _ref_ladder_beta, True, True),
+    (l2_iterated_constant, _ref_l2_iterated, False, True),
+    (combined_first_constant, _ref_combined_first, False, True),
+    (combined_high_constant, _ref_combined_high, False, True),
+]
+
+
+def _outcome(fn, *args):
+    """A value as its type and float bits, or an exception as its type,
+    message and ``factor_index``."""
+    try:
+        value = fn(*args)
+    except (DegenerateConstantError, InvalidParameterError) as exc:
+        return type(exc), str(exc), getattr(exc, "factor_index", None)
+    return type(value), float(value).hex()
+
+
+# Q, p and the weight on a grid of halves, where factors vanish exactly
+# (Q = 4, p = 2, alpha = 1 is one such point), or anywhere in range
+_Q = st.one_of(st.integers(1, 12).map(float), st.floats(1.0, 12.0))
+_P = st.one_of(st.sampled_from([1.5, 2.0, 3.0, 4.0, 1.0, 0.5, math.nan, math.inf]),
+               st.floats(1.01, 6.0))
+_X = st.one_of(st.integers(-8, 8).map(lambda i: i / 2), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(q=_Q, p=_P, x=_X, k=st.integers(-1, 5))
+def test_every_product_constant_matches_the_reference(q, p, x, k):
+    for fn, ref, takes_p, takes_order in _ORACLE:
+        args = (q, *(p,) * takes_p, x, *(k,) * takes_order)
+        assert _outcome(fn, *args) == _outcome(ref, *args), fn.__name__
+
+
+@pytest.mark.parametrize("fn,ref,takes_p,takes_order", _ORACLE,
+                         ids=[case[0].__name__ for case in _ORACLE])
+def test_degenerate_grid_matches_the_reference(fn, ref, takes_p, takes_order):
+    degenerate = 0
+    for q in range(1, 9):
+        for p in (1.5, 2.0, 3.0):
+            for x in (i / 2 for i in range(-6, 7)):
+                for k in range(0, 4) if takes_order else (None,):
+                    args = (float(q), *(p,) * takes_p, x, *(k,) * takes_order)
+                    got = _outcome(fn, *args)
+                    assert got == _outcome(ref, *args), args
+                    degenerate += got[0] is DegenerateConstantError
+    assert degenerate > 0
+
+
+def test_empty_products_are_the_float_one():
+    # an int 1 would be written to JSON as 1, not 1.0
+    for value in (ladder_constant_alpha(4.0, 2.0, 1.0, 0),
+                  ladder_constant_beta(4.0, 2.0, 1.0, 0)):
+        assert type(value) is float and value == 1.0
+    table = constant_table(4.0, 2.0, alpha=1.0, beta=1.0, k=0, m=0)
+    assert type(table["ladder_alpha"]["value"]) is float
+    assert type(table["ladder_beta"]["value"]) is float
+
+
+def test_numpy_inputs_keep_the_reference_type_and_bits():
+    q, p, x = np.float64(7.0), np.float64(2.5), np.float64(0.4)
+    for fn, ref, takes_p, takes_order in _ORACLE:
+        args = (q, *(p,) * takes_p, x, *(3,) * takes_order)
+        assert _outcome(fn, *args) == _outcome(ref, *args), fn.__name__
