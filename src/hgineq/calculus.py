@@ -482,14 +482,17 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
     return value, error
 
 
-def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto"):
+def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto", fields=None):
     """``|| sum_i c_i R^{k_i} f / N^{a_i} ||_2``; returns ``(value, error)``.
 
     ``terms`` is an iterable of ``(c_i, k_i, a_i)``.  Used by the exact
     second-order remainder identities, whose cross terms cannot be reduced
-    to single weighted norms.  ``R^{k_i} f`` is taken in ``mode``.
+    to single weighted norms.  ``R^{k_i} f`` is taken in ``mode``, or from
+    ``fields``, a mapping ``k -> R^k f`` the caller has already built.
     """
-    parts = [(complex(c), nth_radial_derivative(group, norm, f, int(k), mode=mode), float(a))
+    fields = fields or {}
+    parts = [(complex(c), fields[k] if k in fields else
+              nth_radial_derivative(group, norm, f, int(k), mode=mode), float(a))
              for c, k, a in terms]
     if not parts:
         raise InvalidParameterError("need at least one term")

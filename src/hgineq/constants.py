@@ -144,7 +144,7 @@ def constant_table(q_dim, p, alpha=None, beta=None, theta=None, k=None, m=None):
         jobs["hardy_step"] = lambda: hardy_step_constant(q_dim, p, alpha)
     if p is not None and p < q_dim:
         jobs["uncertainty"] = lambda: uncertainty_constant(q_dim, p)
-    if theta is not None and k is not None:
+    if theta is not None and k is not None and k >= 1:
         jobs["iterated_hardy"] = lambda: iterated_hardy_constant(q_dim, p, theta, k)
     if alpha is not None and m is not None:
         jobs["ladder_alpha"] = lambda: ladder_constant_alpha(q_dim, p, alpha, m)

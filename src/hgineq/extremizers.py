@@ -8,12 +8,24 @@ exponent ``lam = alpha - beta/(p-1) + 1``:
 - ``lam == 0``:  ``g = r^(-c_s)``               (power branch).
 
 Either way the two Hoelder factors on the right-hand side are pointwise
-proportional, so the quotient attained by a smoothly truncated copy
-approaches the sharp constant ``|Q - gamma|/p`` as the carrier annulus
-``[eps, r_out]`` widens.  On the power branch every decade of carrier
-contributes equal mass and the relative gap decays like
-``1 / log(r_out/eps)``; the default schedule therefore descends to
-``[1e-56, 1e56]``, which log-panel quadrature resolves routinely.
+proportional on the carrier, and a smoothly truncated copy is measured on
+the carrier annulus ``[eps, r_out]`` plus its cutoff bands.  Whether its
+quotient approaches the sharp constant ``|Q - gamma|/p`` as the carrier
+widens depends on the branch:
+
+- power branch: yes.  Every decade of carrier contributes equal mass and
+  the relative gap decays like ``1 / log(r_out/eps)``; the default
+  schedule therefore descends to ``[1e-56, 1e56]``, which log-panel
+  quadrature resolves routinely.
+- exponential branch: not in general.  The cutoff bands' derivative terms
+  need not shrink as the carrier widens; where the profile needs no cutoff
+  on one side, the inner band's term grows like
+  ``eps^(Q - (1 + alpha) p)``.  On ``r:3`` at ``(p, alpha, beta) =
+  (3, 0.5, 1)`` the attained quotients run 6.33, 17.1, 160, ... 1.6e28 for
+  ``eps = 1e-1 ... 1e-56`` (about ``eps^(-1/2)``) against a sharp constant
+  of 1/6, which the untruncated profile attains.  So on this branch a scan
+  shows that no entry falls below the constant, not that the constant is
+  approached.
 
 Profiles are normalized at a reference radius inside the carrier so their
 values stay within double-precision range; schedule entries that would
@@ -231,8 +243,8 @@ class SharpnessScan:
 
     @property
     def best(self):
-        """Entry with the smallest attained quotient (it approaches the
-        sharp constant from above as the carrier widens)."""
+        """Entry with the smallest attained quotient (on the power branch
+        it approaches the sharp constant from above as the carrier widens)."""
         done = [e for e in self.entries if e.get("attained") is not None]
         return min(done, key=lambda e: e["attained"]) if done else None
 

@@ -14,12 +14,20 @@ Catalog pieces
 ``log_gaussian_profile`` ``amp * exp(-(log r - mu)**2 / (2 s**2))``
 ``gaussian_profile``     ``exp(-r**2 / (2 scale**2))``
 ``smooth_step_profile``  C^inf step built from ``exp(-1/t)``
-``annulus_cutoff``       product of a rising and a falling step
+``annulus_cutoff``       a rising and a falling step on disjoint bands
 
 The smooth step uses the classical partition function
 ``s(t) = a(t) / (a(t) + a(1-t))`` with ``a(t) = exp(-1/t)``; its stack is
 computed by a quotient recurrence which is exact on the plateaus (all
 derivatives return exactly 0 there, values exactly 0 or 1).
+
+The cutoff is evaluated band-wise: its two transition bands are disjoint,
+so its stack is exactly 0 outside ``(lo, hi)``, exactly 1 (derivatives 0)
+on the plateau, and that band's step inside each band.  Only band points
+go through the ``exp(-1/t)`` recurrences, one call for both bands.  Every
+recurrence keeps each entry's float operations and their order, so stacks
+equal those of the plain double loops bit for bit (``tests/test_profiles.py``
+keeps those loops as the reference).
 """
 
 from __future__ import annotations
@@ -178,25 +186,36 @@ def _intersect_support(a, b):
     return (lo, hi)
 
 
+# binomial coefficients C(k, i) as floats, row k, column i
+_BINOM = np.array([[comb(k, i) for i in range(_MAX_ORDER + 1)] for k in range(_MAX_ORDER + 1)],
+                  dtype=float)
+
+
 def _leibniz(a, b):
-    """Stack of the product from two stacks: ``(ab)^(k) = sum C(k,i) a^(i) b^(k-i)``."""
+    """Stack of the product from two stacks: ``(ab)^(k) = sum C(k,i) a^(i) b^(k-i)``.
+
+    Term ``i`` is added to every entry ``k >= i`` at once; each entry still
+    sums its terms in the order ``i = 0, 1, ..., k``.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     order = a.shape[0] - 1
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for k in range(order + 1):
-        for i in range(k + 1):
-            out[k] += comb(k, i) * a[i] * b[k - i]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    np.multiply(a[0], b, out=out)
+    for i in range(1, order + 1):
+        c = _BINOM[i:order + 1, i].reshape((-1,) + (1,) * (out.ndim - 1))
+        out[i:] += c * a[i] * b[:order + 1 - i]
     return out
 
 
 def _exp_stack(w):
     """Stack of ``exp(w)`` from the stack of ``w`` via ``h' = w' h``."""
     order = w.shape[0] - 1
-    h = np.zeros(w.shape, dtype=np.result_type(w, float))
-    h[0] = np.exp(w[0])
+    h = np.empty(w.shape, dtype=np.result_type(w, float))
+    np.exp(w[0], out=h[0, ...])
     for m in range(1, order + 1):
-        for i in range(m):
+        np.multiply(w[1], h[m - 1], out=h[m, ...])
+        for i in range(1, m):
             h[m] += comb(m - 1, i) * w[i + 1] * h[m - 1 - i]
     return h
 
@@ -291,13 +310,32 @@ def log_gaussian_profile(amp, center, width):
 
 def _neg_reciprocal_stack(t, order):
     # derivative stack of w(t) = -1/t on t > 0
-    w = np.zeros((order + 1,) + t.shape)
-    w[0] = -1.0 / t
+    w = np.empty((order + 1,) + t.shape)
+    np.divide(-1.0, t, out=w[0])
     fact = 1.0
     for k in range(1, order + 1):
         w[k] = ((-1.0) ** (k + 1)) * fact * t ** (-(k + 1.0))
         fact *= k + 1
     return w
+
+
+def _step_band(t, order):
+    """Stack of ``s(t) = a(t)/(a(t)+a(1-t))`` at points ``pad < t < 1 - pad``."""
+    n = t.size
+    both = np.empty(2 * n)
+    both[:n] = t
+    np.subtract(1.0, t, out=both[n:])
+    h = _exp_stack(_neg_reciprocal_stack(both, order))
+    del both
+    s, d = h[:, :n], h[:, n:]
+    d[1::2] *= -1.0  # chain rule through t -> 1 - t
+    d += s
+    # quotient recurrence in place: once entry i of ``s`` is s^(i), its
+    # term is subtracted from every later entry, in the order i = 0, 1, ...
+    for i in range(order + 1):
+        s[i] /= d[0]
+        s[i + 1:] -= _BINOM[i + 1:order + 1, i, None] * s[i] * d[1:order + 1 - i]
+    return s
 
 
 def smooth_step_stack(t, order):
@@ -307,27 +345,19 @@ def smooth_step_stack(t, order):
     derivatives exactly 0 there), which double precision makes lossless.
     """
     t = np.asarray(t, dtype=float)
-    out = np.zeros((order + 1,) + t.shape)
-    hi = t >= 1.0 - _STEP_PAD
-    out[0][hi] = 1.0
-    mid = (t > _STEP_PAD) & ~hi
-    if np.any(mid):
-        tm = t[mid]
-        a = _exp_stack(_neg_reciprocal_stack(tm, order))
-        ab = _exp_stack(_neg_reciprocal_stack(1.0 - tm, order))
-        for k in range(1, order + 1, 2):
-            ab[k] = -ab[k]  # chain rule through t -> 1 - t
-        d = a + ab
-        s = np.zeros_like(a)
-        s[0] = a[0] / d[0]
-        for k in range(1, order + 1):
-            acc = a[k].copy()
-            for i in range(k):
-                acc -= comb(k, i) * s[i] * d[k - i]
-            s[k] = acc / d[0]
-        for k in range(order + 1):
-            out[k][mid] = s[k]
-    return out
+    x = t.ravel()
+    one = x >= 1.0 - _STEP_PAD
+    mid = np.flatnonzero((x > _STEP_PAD) & ~one)
+    return _assemble(one, mid, _step_band(x[mid], order), t.shape)
+
+
+def _assemble(one, band, s, shape):
+    """The stack that is 1 where ``one``, ``s`` at flat indices ``band``
+    and 0 elsewhere, shaped ``(order + 1,) + shape``."""
+    out = np.zeros((s.shape[0], one.size))
+    out[0] = one
+    out[:, band] = s
+    return out.reshape(s.shape[:1] + shape)
 
 
 def smooth_step_profile(lo, hi, rising=True):
@@ -355,11 +385,36 @@ def annulus_cutoff(lo, lo_top, hi_bottom, hi):
     """Smooth cutoff equal to 1 on ``[lo_top, hi_bottom]``, 0 outside ``(lo, hi)``.
 
     The two transition bands ``[lo, lo_top]`` and ``[hi_bottom, hi]`` use
-    the canonical ``exp(-1/t)`` step.
+    the canonical ``exp(-1/t)`` step, rising in ``t = (r - lo)/(lo_top - lo)``
+    and falling in ``t = (hi - r)/(hi - hi_bottom)``.  The bands are
+    disjoint, so at each point at most one step is off its plateau.
     """
     if not (0.0 < lo < lo_top <= hi_bottom < hi):
         raise InvalidParameterError("cutoff bands must satisfy 0 < lo < lo_top <= hi_bottom < hi")
-    chi = smooth_step_profile(lo, lo_top, rising=True) * smooth_step_profile(
-        hi_bottom, hi, rising=False
-    )
-    return RadialProfile(chi._stack, support=(lo, hi), label=f"cutoff[{lo:g},{hi:g}]")
+    lo, lo_top, hi_bottom, hi = float(lo), float(lo_top), float(hi_bottom), float(hi)
+    rise, fall = 1.0 / (lo_top - lo), 1.0 / (hi - hi_bottom)
+
+    def stack(r, order):
+        r = np.asarray(r, dtype=float)
+        x = r.ravel()
+        # one full-size t array at a time: rising step, then falling step
+        t = np.subtract(x, lo, out=np.empty_like(x))
+        t *= rise
+        one = t >= 1.0 - _STEP_PAD
+        up = np.flatnonzero((t > _STEP_PAD) & ~one)
+        t_up = t[up]
+        np.subtract(hi, x, out=t)
+        t *= fall
+        flat = t >= 1.0 - _STEP_PAD
+        down = np.flatnonzero((t > _STEP_PAD) & ~flat)
+        one &= flat
+        t_band = np.concatenate((t_up, t[down]))
+        del t, flat, t_up
+        s = _step_band(t_band, order)
+        n = up.size
+        for k in range(1, order + 1):
+            s[k, :n] *= rise**k
+            s[k, n:] *= (-fall) ** k
+        return _assemble(one, np.concatenate((up, down)), s, r.shape)
+
+    return RadialProfile(stack, support=(lo, hi), label=f"cutoff[{lo:g},{hi:g}]")

@@ -326,11 +326,11 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
     fields = {}
     top = None
     for spec, _, _ in factors:
-        if isinstance(spec, Norm):
-            if spec.k not in fields:
-                fields[spec.k] = nth_radial_derivative(group, norm, f, spec.k, mode=mode)
-            if top is None or spec.k > top.k:
-                top = spec
+        for k in [spec.k] if isinstance(spec, Norm) else [k for _, k, _ in spec.terms]:
+            if k not in fields:
+                fields[k] = nth_radial_derivative(group, norm, f, k, mode=mode)
+        if isinstance(spec, Norm) and (top is None or spec.k > top.k):
+            top = spec
     # the highest-order norm is measured first: the derivative stack a
     # quasi-radial field builds for it on a node set serves every lower
     # order, so no stack is built twice; the rest follow in table order
@@ -346,7 +346,7 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
             if key:
                 detail[key] = out
         else:
-            out = weighted_combo_l2(group, norm, f, spec.terms, config, mode=mode)
+            out = weighted_combo_l2(group, norm, f, spec.terms, config, mode=mode, fields=fields)
             if key:
                 detail.setdefault(key, []).append(out)
         return out

@@ -291,6 +291,19 @@ def test_constants_document_at_a_degenerate_point(tmp_path):
     assert text == _GOLDEN_CONSTANTS
 
 
+def test_constants_at_k_zero_prints_the_table_with_theta(tmp_path):
+    """The iterated Hardy constant needs k >= 1, like the L^2 ones, so at
+    k = 0 it is left out of the table instead of failing the command."""
+    args = ("constants", "--group", "r:3", "--p", "2", "--alpha", "0.5", "--beta", "1",
+            "--k", "0", "--m", "0")
+    code, text = run(tmp_path, *args, "--theta", "0.5")
+    assert code == 0
+    table = json.loads(text)["constants"]
+    assert "iterated_hardy" not in table
+    assert table["ladder_alpha"] == table["ladder_beta"] == {"value": 1.0}
+    assert (code, text) == run(tmp_path, *args)
+
+
 def test_resolution_flag_reaches_quadrature(tmp_path):
     code, text = run(
         tmp_path, "verify", "--group", "r:3", "--check", "ckn", "--count", "2",

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hgineq import (
     power_profile,
     smooth_step_profile,
 )
+from hgineq import profiles as P
 
 R = np.geomspace(0.01, 100.0, 257)
 
@@ -168,3 +171,188 @@ def test_support_metadata_propagates():
     assert prod.support == (0.5, 4.0)  # original untouched
     narrower = annulus_cutoff(1.0, 1.5, 2.0, 3.0)
     assert (chi * narrower).support == (1.0, 3.0)
+
+
+# -- the stack kernels against their straightforward forms ---------------
+#
+# The reference bodies below are plain double loops: entries start from a
+# zero fill, every term carries its binomial factor, and the annulus cutoff
+# is the full Leibniz product of a rising and a falling step.  The kernels
+# of ``profiles`` keep each entry's float operations and their order, so
+# they must agree bit for bit (``-0.0`` and ``0.0`` compare equal: the sign
+# of a zero entry is not pinned).
+
+
+def _leibniz_reference(a, b):
+    order = a.shape[0] - 1
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for k in range(order + 1):
+        for i in range(k + 1):
+            out[k] += comb(k, i) * a[i] * b[k - i]
+    return out
+
+
+def _exp_stack_reference(w):
+    order = w.shape[0] - 1
+    h = np.zeros(w.shape, dtype=np.result_type(w, float))
+    h[0] = np.exp(w[0])
+    for m in range(1, order + 1):
+        for i in range(m):
+            h[m] += comb(m - 1, i) * w[i + 1] * h[m - 1 - i]
+    return h
+
+
+def _neg_reciprocal_reference(t, order):
+    w = np.zeros((order + 1,) + t.shape)
+    w[0] = -1.0 / t
+    fact = 1.0
+    for k in range(1, order + 1):
+        w[k] = ((-1.0) ** (k + 1)) * fact * t ** (-(k + 1.0))
+        fact *= k + 1
+    return w
+
+
+def _step_stack_reference(t, order):
+    out = np.zeros((order + 1,) + t.shape)
+    hi = t >= 1.0 - P._STEP_PAD
+    out[0][hi] = 1.0
+    mid = (t > P._STEP_PAD) & ~hi
+    if np.any(mid):
+        tm = t[mid]
+        a = _exp_stack_reference(_neg_reciprocal_reference(tm, order))
+        ab = _exp_stack_reference(_neg_reciprocal_reference(1.0 - tm, order))
+        for k in range(1, order + 1, 2):
+            ab[k] = -ab[k]
+        d = a + ab
+        s = np.zeros_like(a)
+        s[0] = a[0] / d[0]
+        for k in range(1, order + 1):
+            acc = a[k].copy()
+            for i in range(k):
+                acc -= comb(k, i) * s[i] * d[k - i]
+            s[k] = acc / d[0]
+        for k in range(order + 1):
+            out[k][mid] = s[k]
+    return out
+
+
+def _step_reference(lo, hi, rising, r, order):
+    scale = 1.0 / (hi - lo)
+    t = (r - lo) * scale if rising else (hi - r) * scale
+    s = _step_stack_reference(t, order)
+    fac = scale if rising else -scale
+    for k in range(1, order + 1):
+        s[k] *= fac**k
+    return s
+
+
+def _cutoff_reference(lo, lo_top, hi_bottom, hi, r, order):
+    return _leibniz_reference(_step_reference(lo, lo_top, True, r, order),
+                              _step_reference(hi_bottom, hi, False, r, order))
+
+
+ORDERS = range(7)
+PAD = P._STEP_PAD
+# lo_top - lo is exactly 1, and lo + PAD and lo + (1 - PAD) are exact doubles,
+# so these nodes sit at t = PAD and t = 1 - PAD of the rising step exactly.
+# hi - hi_bottom is exactly 1 with r in [0.75, 3], so hi - r is exact and
+# t = 1 - PAD of the falling step is hit exactly too.  (t = PAD of a falling
+# step is not a double's image: hi - r is a multiple of ulp(r), far coarser
+# than the ulp of PAD.)
+LO = 2.0**-20
+EDGE_CUTOFF = (LO, LO + 1.0, 1.5, 2.5)
+EDGE_NODES = np.array([LO + PAD, LO + (1.0 - PAD), 2.5 - (1.0 - PAD)])
+
+
+def _nodes(lo, lo_top, hi_bottom, hi, n=97):
+    """Nodes that straddle both bands: below lo, in each band, on the
+    plateau, above hi, and the band edges themselves."""
+    r = np.concatenate((np.linspace(0.5 * lo, 1.5 * hi, n),
+                        np.linspace(lo, lo_top, 23), np.linspace(hi_bottom, hi, 23),
+                        [lo, lo_top, hi_bottom, hi]))
+    return np.random.default_rng(1).permutation(r)
+
+
+def _random_stack(rng, order, shape, complex_):
+    s = rng.standard_normal((order + 1,) + shape)
+    if complex_:
+        s = s + 1j * rng.standard_normal((order + 1,) + shape)
+    return s
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("kinds", ["real", "complex", "real*complex", "complex*real"])
+def test_leibniz_matches_the_reference_bit_for_bit(order, kinds):
+    rng = np.random.default_rng(order)
+    ca, cb = ("complex" in kinds.split("*")[0]), ("complex" in kinds.split("*")[-1])
+    for shape in ((50,), (3, 4)):
+        a = _random_stack(rng, order, shape, ca)
+        b = _random_stack(rng, order, shape, cb)
+        got, want = P._leibniz(a, b), _leibniz_reference(a, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("complex_", [False, True])
+def test_exp_stack_matches_the_reference_bit_for_bit(order, complex_):
+    rng = np.random.default_rng(10 + order)
+    w = _random_stack(rng, order, (60,), complex_)
+    got, want = P._exp_stack(w), _exp_stack_reference(w)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_smooth_step_stack_matches_the_reference_bit_for_bit(order):
+    t = np.concatenate((np.linspace(-0.5, 1.5, 201), [PAD, 1.0 - PAD, 0.0, 1.0]))
+    assert np.array_equal(P.smooth_step_stack(t, order), _step_stack_reference(t, order))
+    r = _nodes(1.0, 2.0, 3.0, 4.0)
+    for lo, hi, rising in ((1.0, 2.0, True), (3.0, 4.0, False)):
+        got = smooth_step_profile(lo, hi, rising).derivatives(r, order)
+        assert np.array_equal(got, _step_reference(lo, hi, rising, r, order))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("bands", [(0.5, 1.0, 4.0, 8.0), (0.3, 0.6, 2.0, 4.0),
+                                   (1e-8, 2e-8, 0.5e8, 1e8), (0.5, 1.0, 1.0, 3.0),
+                                   EDGE_CUTOFF])
+def test_annulus_cutoff_matches_the_product_of_two_steps_bit_for_bit(order, bands):
+    """``lo_top == hi_bottom`` is the case ``(0.5, 1.0, 1.0, 3.0)``."""
+    r = _nodes(*bands)
+    if bands == EDGE_CUTOFF:
+        lo, lo_top, hi_bottom, hi = bands
+        assert ((EDGE_NODES[:2] - lo) * (1.0 / (lo_top - lo)) == [PAD, 1.0 - PAD]).all()
+        assert (hi - EDGE_NODES[2]) * (1.0 / (hi - hi_bottom)) == 1.0 - PAD
+        r = np.concatenate((r, EDGE_NODES))
+    got = annulus_cutoff(*bands).derivatives(r, order)
+    assert np.array_equal(got, _cutoff_reference(*bands, r, order))
+    r2 = r[: 12 * 9].reshape(12, 9)
+    assert np.array_equal(annulus_cutoff(*bands).derivatives(r2, order),
+                          _cutoff_reference(*bands, r2, order))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_complex_profile_times_cutoff_matches_the_reference(order):
+    prof = log_gaussian_profile(1.0 + 0.7j, 0.1, 0.5)
+    bands = (0.2, 0.4, 2.5, 5.0)
+    r = _nodes(*bands)
+    want = _leibniz_reference(prof.derivatives(r, order),
+                              _cutoff_reference(*bands, r, order))
+    got = (prof * annulus_cutoff(*bands)).derivatives(r, order)
+    assert got.dtype == want.dtype == complex
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("prof", [
+    constant_profile(2.0), power_profile(1.5), exp_power_profile(1.0, 2.0), gaussian_profile(1.0),
+    log_gaussian_profile(1.0 + 0.5j, 0.0, 0.5), annulus_cutoff(1.0, 2.0, 3.0, 4.0),
+    smooth_step_profile(1.0, 2.0), smooth_step_profile(3.0, 4.0, rising=False),
+    log_gaussian_profile(1.0, 0.0, 0.5) * annulus_cutoff(1.0, 2.0, 3.0, 4.0),
+    gaussian_profile(1.0).scale_argument(2.0)], ids=lambda p: p.label)
+def test_a_scalar_radius_gives_the_stack_of_a_one_point_array(prof):
+    for x in (0.5, 1.5, 2.5, 3.5, 5.0):
+        stack = prof.derivatives(x, 3)
+        assert stack.shape == (4,)
+        assert np.array_equal(stack, prof.derivatives(np.array([x]), 3)[:, 0])
+        assert prof(x) == stack[0]
