@@ -2,11 +2,13 @@
 
 The central object is the radial derivative
 
-    R f(x) = sum_j w_j x_j (X_j f)(x) / N(x),
+    R f(x) = sum_i w_i x_i (d_i f)(x) / N(x),
 
 the derivative of ``f`` along the dilation orbit through ``x`` at unit
 speed in the quasi-norm ``N``: if ``phi(t) = f(D_t xhat)`` with
-``xhat = D_{1/N(x)} x``, then ``(R^k f)(x) = phi^(k)(N(x))``.
+``xhat = D_{1/N(x)} x``, then ``(R^k f)(x) = phi^(k)(N(x))``.  The sum is
+the Euler field of the dilations, which on a graded group equals the frame
+combination ``sum_j w_j x_j X_j`` (see :mod:`hgineq.groups`).
 
 Three evaluation strategies coexist and are cross-checked in the tests:
 
@@ -54,7 +56,6 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
-from .groups import radial_frame_combination
 from .profiles import annulus_cutoff
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -135,9 +136,11 @@ def _orbit_fd_values(group, norm, f, k):
 
 
 def _gradient_contraction_values(group, norm, f):
+    w = group.weight_array()
+
     def values(pts):
         r = _radii(norm, pts)
-        return radial_frame_combination(group, pts, f.gradient(pts)) / r
+        return np.einsum("...i,...i->...", w * pts, f.gradient(pts)) / r
 
     return _single_point_aware(values)
 

@@ -10,7 +10,7 @@ class InvalidParameterError(HgineqError, ValueError):
 
 
 class UnsupportedGroupError(HgineqError, ValueError):
-    """Unknown group kind, or parameters inconsistent with the kind."""
+    """Unknown group id, or dilation weights that are not positive and finite."""
 
 
 class IncompatibleNormError(HgineqError, ValueError):

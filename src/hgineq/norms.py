@@ -12,7 +12,8 @@ Catalog
                       exponent ``2M/w_i`` exceeds 1 (always true here since
                       ``2M/w_i >= 2``).
 - ``max_scaled``      ``max_i |x_i|**(1/w_i)``; homogeneous but non-smooth.
-- ``koranyi``         Heisenberg only: ``((x1^2+x2^2)^2 + 16 x3^2)**(1/4)``.
+- ``koranyi``         weights (1, 1, 2) only, as on ``heis1``:
+                      ``((x1^2+x2^2)^2 + 16 x3^2)**(1/4)``.
 
 Every catalog norm sees each coordinate only through ``|x_i|`` or
 ``x_i**2``, so it is even in each coordinate separately:
@@ -151,16 +152,18 @@ def make_norm(group, kind):
         raise IncompatibleNormError(f"unknown norm kind {kind!r}")
     if kind == "euclidean" and any(w != 1.0 for w in group.weights):
         raise IncompatibleNormError("euclidean norm requires isotropic weights")
-    if kind == "koranyi" and group.kind != "heisenberg":
-        raise IncompatibleNormError("koranyi norm is defined on the Heisenberg group only")
+    if kind == "koranyi" and tuple(group.weights) != (1.0, 1.0, 2.0):
+        raise IncompatibleNormError("koranyi norm requires weights (1, 1, 2)")
     return QuasiNormSpec(kind=kind, group=group)
 
 
 def default_norm(group):
-    """Canonical norm per group kind (euclidean / aniso_power / koranyi)."""
-    if group.kind == "abelian_isotropic":
+    """Canonical norm per catalog id: ``euclidean`` on ``r:<n>``, ``koranyi``
+    on ``heis1`` and ``aniso_power`` on every other id, ``aniso:1,1,2``
+    included."""
+    if group.name.startswith("r:"):
         return make_norm(group, "euclidean")
-    if group.kind == "heisenberg":
+    if group.name == "heis1":
         return make_norm(group, "koranyi")
     return make_norm(group, "aniso_power")
 

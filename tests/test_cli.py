@@ -130,6 +130,31 @@ def test_verify_bad_group(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("group", ["aniso:nan,1", "aniso:inf,1"])
+def test_non_finite_weights_exit_2(tmp_path, group):
+    code, text = run(tmp_path, "constants", "--group", group, "--p", "2", "--alpha", "0",
+                     "--beta", "1")
+    assert code == 2 and text == ""
+
+
+def test_koranyi_documents_depend_only_on_the_weights(tmp_path):
+    """heis1 and aniso:1,1,2 are one group under two ids."""
+    docs = []
+    for group in ("heis1", "aniso:1,1,2"):
+        code, text = run(tmp_path, "verify", "--group", group, "--norm", "koranyi",
+                         "--check", "ckn,hardy,l2-identity,higher", "--k", "1,2",
+                         "--theta", "0.5", "--count", "2")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["meta"].pop("group") == group
+        for r in doc["reports"]:
+            assert r.pop("group") == group
+        docs.append(doc)
+    checks = {r["check_id"] for r in docs[0]["reports"]}
+    assert checks == {"ckn", "hardy", "l2-identity", "higher"}
+    assert docs[0] == docs[1]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({

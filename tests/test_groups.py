@@ -4,46 +4,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgineq import (
+    GroupSpec,
     InvalidParameterError,
     UnsupportedGroupError,
-    apply_vector_field,
+    default_norm,
     dilate,
-    make_group,
+    generic_field,
+    nth_radial_derivative,
     parse_group,
 )
-from hgineq.groups import radial_frame_combination
 
 
 def test_parse_group_catalog():
     g = parse_group("r:3")
-    assert g.kind == "abelian_isotropic"
+    assert g.name == "r:3"
     assert g.dim == 3
     assert g.weights == (1.0, 1.0, 1.0)
     assert g.homogeneous_dimension == 3.0
 
     g = parse_group("aniso:1,2")
-    assert g.kind == "abelian_anisotropic"
+    assert g.name == "aniso:1,2"
+    assert g.dim == 2
     assert g.weights == (1.0, 2.0)
     assert g.homogeneous_dimension == 3.0
 
     g = parse_group("heis1")
-    assert g.kind == "heisenberg"
+    assert g.name == "heis1"
     assert g.dim == 3
     assert g.weights == (1.0, 1.0, 2.0)
     assert g.homogeneous_dimension == 4.0
 
+    # ids normalize: integer dims and ``%g`` weights
+    assert parse_group(" r:03 ").name == "r:3"
+    g = parse_group("aniso:1.0,2.50")
+    assert (g.name, g.weights, g.dim) == ("aniso:1,2.5", (1.0, 2.5), 2)
+    assert parse_group("aniso:1,1,2").weights == parse_group("heis1").weights
 
-@pytest.mark.parametrize("bad", ["r:0", "r:-1", "aniso:", "aniso:0,1", "heis2", "blah", "r:x"])
+
+@pytest.mark.parametrize("bad", ["r:0", "r:-1", "aniso:", "aniso:0,1", "heis2", "blah", "r:x",
+                                 "aniso:nan,1", "aniso:inf,1"])
 def test_parse_group_rejects(bad):
     with pytest.raises((UnsupportedGroupError, InvalidParameterError)):
         parse_group(bad)
 
 
 def test_make_group_weight_validation():
-    with pytest.raises(UnsupportedGroupError):
-        make_group("abelian_anisotropic", 2, weights=(1.0, -2.0))
-    with pytest.raises(UnsupportedGroupError):
-        make_group("nilpotent_mystery", 3)
+    for weights in [(1.0, -2.0), (), (1.0, float("nan")), (float("inf"), 1.0)]:
+        with pytest.raises(UnsupportedGroupError):
+            GroupSpec("g", weights)
+    assert GroupSpec("g", (0.5, 3.0)).dim == 2
 
 
 def test_dilate_scales_coordinates():
@@ -71,76 +80,65 @@ def test_dilation_is_a_group_action(lam, mu, coords):
     assert np.allclose(left, right, rtol=1e-12, atol=1e-12)
 
 
-def test_heisenberg_frame_coefficients():
-    g = parse_group("heis1")
-    x = np.array([[1.5, -2.0, 0.7]])
-    coeff = g.frame_coefficients(x)
-    assert coeff.shape == (1, 3, 3)
-    # X1 = d1 - (x2/2) d3, X2 = d2 + (x1/2) d3, X3 = d3
-    assert np.allclose(coeff[0, 0], [1.0, 0.0, 1.0])
-    assert np.allclose(coeff[0, 1], [0.0, 1.0, 0.75])
-    assert np.allclose(coeff[0, 2], [0.0, 0.0, 1.0])
+def _reference_frame_coefficients(group, x):
+    """The left-invariant frame ``X_j = sum_i C[..., j, i] d_i``: the
+    identity, or on the weights (1, 1, 2) X1 = d1 - (x2/2) d3,
+    X2 = d2 + (x1/2) d3, X3 = d3."""
+    n = group.dim
+    if group.name != "heis1":
+        return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
+    c = np.zeros(x.shape[:-1] + (3, 3))
+    c[..., 0, 0] = 1.0
+    c[..., 0, 2] = -0.5 * x[..., 1]
+    c[..., 1, 1] = 1.0
+    c[..., 1, 2] = 0.5 * x[..., 0]
+    c[..., 2, 2] = 1.0
+    return c
 
 
-class _Shim:
-    """Minimal object satisfying the values/gradient duck type."""
-
-    def __init__(self, values, gradient=None):
-        self.values = values
-        if gradient is not None:
-            self.gradient = gradient
+def _reference_contraction(group, x, grad):
+    """``sum_j w_j x_j X_j`` contracted against ``grad``, through the frame."""
+    w = group.weight_array()
+    v = np.einsum("j,...j,...ji->...i", w, x, _reference_frame_coefficients(group, x))
+    return np.einsum("...i,...i->...", v, grad)
 
 
-def test_apply_vector_field_analytic_vs_fd():
-    g = parse_group("heis1")
-
-    def f(x):
-        return np.sin(x[..., 0]) * np.exp(x[..., 1]) + 0.3 * x[..., 2] ** 2
-
-    def grad(x):
-        out = np.empty_like(x)
-        out[..., 0] = np.cos(x[..., 0]) * np.exp(x[..., 1])
-        out[..., 1] = np.sin(x[..., 0]) * np.exp(x[..., 1])
-        out[..., 2] = 0.6 * x[..., 2]
-        return out
-
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(50, 3))
-    field = _Shim(f, grad)
-    for j in range(3):
-        a = apply_vector_field(g, j, field, x, mode="analytic")
-        b = apply_vector_field(g, j, field, x, mode="fd")
-        assert np.max(np.abs(a - b)) < 1e-6
+def _wavy(x):
+    return np.sin(x[..., 0]) * np.exp(0.3 * x[..., -1]) + 0.7 * np.sum(x, axis=-1) ** 2
 
 
-def test_abelian_fields_are_plain_partials():
-    g = parse_group("r:2")
-    field = _Shim(
-        lambda x: x[..., 0] ** 2 + 3.0 * x[..., 1],
-        lambda x: np.stack([2.0 * x[..., 0], np.full(x.shape[:-1], 3.0)], axis=-1),
-    )
-    x = np.array([[2.0, -1.0]])
-    assert np.allclose(apply_vector_field(g, 0, field, x, mode="analytic"), 4.0)
-    assert np.allclose(apply_vector_field(g, 1, field, x, mode="analytic"), 3.0)
+def _wavy_gradient(x):
+    s = 1.4 * np.sum(x, axis=-1)
+    out = np.empty_like(x)
+    out[...] = s[..., None]
+    out[..., 0] += np.cos(x[..., 0]) * np.exp(0.3 * x[..., -1])
+    out[..., -1] += 0.3 * np.sin(x[..., 0]) * np.exp(0.3 * x[..., -1])
+    return out
 
 
-def test_heisenberg_radial_combination_central_cancellation():
-    # sum_j w_j x_j X_j: the x3-column picks up x1(-x2/2) + x2(x1/2), which
-    # must cancel exactly in floating point, leaving 2*x3
-    g = parse_group("heis1")
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(200, 3))
+@pytest.mark.parametrize("name", ["r:1", "r:3", "aniso:1,2", "heis1"])
+def test_euler_contraction_matches_the_frame_bit_for_bit(name):
+    """The Euler field sum_i w_i x_i d_i is the frame's dilation generator,
+    and R f is formed from it with the same bits as through the frame."""
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = generic_field(_wavy, (0.1, 5.0), gradient=_wavy_gradient)
+    x = np.random.default_rng(11).normal(size=(100_000, group.dim))
+    got = nth_radial_derivative(group, norm, f, k=1).values(x)
+    want = _reference_contraction(group, x, _wavy_gradient(x)) / norm(x)
+    assert np.array_equal(got, want)
+
+
+def test_euler_contraction_central_cancellation():
+    # through the frame the d3 coefficient is x1(-x2/2) + x2(x1/2), which
+    # cancels exactly; the Euler field has none, and both leave 2 x3
+    group = parse_group("heis1")
+    norm = default_norm(group)
+    x = np.random.default_rng(9).normal(size=(200, 3))
+    f = generic_field(lambda y: y[..., 2], (0.1, 5.0),
+                      gradient=lambda y: np.broadcast_to([0.0, 0.0, 1.0], y.shape))
+    got = nth_radial_derivative(group, norm, f, k=1).values(x)
+    assert np.array_equal(got, 2.0 * x[:, 2] / norm(x))
     grad = np.zeros((200, 3))
-    grad[:, 2] = 1.0  # gradient of f(x) = x3
-    combo = radial_frame_combination(g, x, grad)
-    assert np.array_equal(combo, 2.0 * x[:, 2])
-
-
-def test_radial_combination_matches_manual_contraction():
-    g = parse_group("aniso:1,2")
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(20, 2))
-    grad = rng.normal(size=(20, 2))
-    combo = radial_frame_combination(g, x, grad)
-    manual = 1.0 * x[:, 0] * grad[:, 0] + 2.0 * x[:, 1] * grad[:, 1]
-    assert np.allclose(combo, manual, rtol=1e-14)
+    grad[:, 2] = 1.0
+    assert np.array_equal(_reference_contraction(group, x, grad), 2.0 * x[:, 2])

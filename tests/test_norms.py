@@ -56,11 +56,25 @@ def test_norm_compatibility_rules():
     with pytest.raises(IncompatibleNormError):
         make_norm(aniso, "euclid")  # euclidean needs isotropic weights
     with pytest.raises(IncompatibleNormError):
-        make_norm(r3, "koranyi")  # koranyi is heisenberg-only
+        make_norm(r3, "koranyi")  # koranyi needs weights (1, 1, 2)
+    with pytest.raises(IncompatibleNormError):
+        make_norm(aniso, "koranyi")
     # defaults
     assert default_norm(r3).kind == "euclidean"
     assert default_norm(heis).kind == "koranyi"
     assert default_norm(aniso).kind == "aniso_power"
+    # keyed by id: the weights of r:2 and heis1 under aniso ids keep aniso_power
+    for name in ("aniso:1,1", "aniso:1,1,2"):
+        assert default_norm(parse_group(name)).kind == "aniso_power"
+
+
+def test_koranyi_is_a_rule_on_the_weights():
+    heis, twin = parse_group("heis1"), parse_group("aniso:1,1,2")
+    a, b = make_norm(heis, "koranyi"), make_norm(twin, "koranyi")
+    x = np.random.default_rng(5).normal(size=(1000, 3))
+    assert np.array_equal(a(x), b(x))
+    assert np.array_equal(a.gradient(x), b.gradient(x))
+    assert np.array_equal(a.bounding_halfwidths(1.5), b.bounding_halfwidths(1.5))
 
 
 @pytest.mark.parametrize("group,norm", list(catalog_pairs()),
