@@ -376,11 +376,19 @@ def _on_orbits(group, f, t, nodes):
     """``f(D_t w)`` at radii ``t`` (any shape) and sphere nodes ``w``
     ``(S, n)``: shape ``t.shape + (S,)``.  ``f.values`` is called on blocks
     of whole rows of radii, at most ``_BLOCK`` points (or one row) each, and
-    a block's points are built from its own radii: no array holds them all."""
-    rows = t.reshape(-1, 1, 1)
+    a block's points are built from its own radii: no array holds them all.
+    A block is filled one coordinate at a time, ``t^(w_j)`` of each row
+    times node column ``j``, so each multiply runs along a whole column."""
+    rows = t.reshape(-1, 1)
+    columns = np.ascontiguousarray(nodes.T)
     step = max(1, _BLOCK // len(nodes))
-    blocks = [f.values((rows[i:i + step] ** group.weight_array() * nodes).reshape(-1, group.dim))
-              for i in range(0, len(rows), step)]
+    blocks = []
+    for i in range(0, len(rows), step):
+        tw = rows[i:i + step] ** group.weight_array()
+        pts = np.empty((len(tw), len(nodes), group.dim))
+        for j, column in enumerate(columns):
+            np.multiply(tw[:, j, None], column, out=pts[:, :, j])
+        blocks.append(f.values(pts.reshape(-1, group.dim)))
     return np.concatenate(blocks, axis=None).reshape(t.shape + (len(nodes),))
 
 

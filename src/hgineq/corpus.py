@@ -9,6 +9,7 @@ to exercise the orbit expansion and the polar-grid integration route.  The same
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class CorpusSpec:
     complex_amplitudes: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidParameterError("seed must be a nonnegative integer")
         if self.count < 1:
             raise InvalidParameterError("count must be >= 1")
         lo, hi = self.annulus

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import weighted_lp_norm
-from .constants import ckn_constant, validate_p
+from .constants import ckn_constant, validate_finite, validate_p
 from .errors import (
     DegenerateConstantError,
     InvalidParameterError,
@@ -283,6 +283,7 @@ def sharpness_scan(group, norm, p, alpha, beta, schedule=None, config=None):
     """
     config = config or DEFAULT_CONFIG
     validate_p(p)
+    validate_finite(alpha=alpha, beta=beta)
     q_dim = group.homogeneous_dimension
     target = ckn_constant(q_dim, alpha + beta + 1.0, p)
     if target == 0.0:

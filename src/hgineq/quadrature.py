@@ -110,8 +110,11 @@ def _gauss(order):
 
 def effective_panels(r_lo, r_hi, panels):
     """Panel count actually used on ``[r_lo, r_hi]``: at least ``panels``,
-    and at least two panels per e-fold of radius."""
+    and at least two panels per e-fold of radius.  A ratio ``r_hi / r_lo``
+    beyond double range is refused."""
     spread = math.log(r_hi / r_lo)
+    if not math.isfinite(spread):
+        raise InvalidParameterError("r_hi / r_lo exceeds double range")
     return max(panels, int(math.ceil(2.0 * spread)))
 
 

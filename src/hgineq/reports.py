@@ -30,6 +30,7 @@ from .constants import (
     ladder_constant_alpha,
     ladder_constant_beta,
     uncertainty_constant,
+    validate_finite,
     validate_p,
 )
 from .errors import InvalidParameterError
@@ -310,6 +311,7 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
     row = CHECKS[check_id]
     if "p" in point:
         validate_p(point["p"])
+    validate_finite(**{a: point[a] for a in row.axes if a != "p" and a not in row.orders})
     for name, least in row.orders.items():
         if not isinstance(point[name], numbers.Integral):
             raise InvalidParameterError(f"{name} must be an integer")

@@ -329,6 +329,34 @@ def test_constants_at_k_zero_prints_the_table_with_theta(tmp_path):
     assert (code, text) == run(tmp_path, *args)
 
 
+_VERIFY = ("verify", "--group", "r:3", "--check", "ckn", "--count", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("constants", "--group", "r:3", "--p", "2", "--alpha", "nan", "--beta", "1"),
+    ("constants", "--group", "r:3", "--p", "2", "--theta", "inf", "--k", "1"),
+    (*_VERIFY, "--alpha", "nan"),
+    (*_VERIFY, "--beta", "inf"),
+    ("identity-check", "--count", "1", "--alpha", "nan"),
+    ("scan-sharpness", "--group", "r:3", "--p", "2", "--alpha", "0", "--beta", "nan"),
+    ("verify", "--group", "r:3", "--check", "ckn", "--count", "2", "--seed", "-1"),
+    (*_VERIFY, "--annulus", "1e-300,1e300"),
+])
+def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_non_finite_grid_point_is_skipped(tmp_path):
+    code, text = run(tmp_path, *_VERIFY, "--alpha", "0,nan")
+    assert code == 0
+    doc = json.loads(text)
+    assert len(doc["reports"]) == 1
+    [skip] = doc["meta"]["skipped"]
+    assert skip["reason"] == "alpha must be a finite number"
+
+
 def test_resolution_flag_reaches_quadrature(tmp_path):
     code, text = run(
         tmp_path, "verify", "--group", "r:3", "--check", "ckn", "--count", "2",

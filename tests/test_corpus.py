@@ -76,6 +76,11 @@ def test_corpus_spec_validation():
         CorpusSpec(radial_fraction=1.5)
     with pytest.raises(InvalidParameterError):
         CorpusSpec(max_bumps=0)
+    # numpy's seeding refuses these with a ValueError
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(InvalidParameterError):
+            CorpusSpec(seed=seed)
+    assert CorpusSpec(seed=np.int64(2)).seed == 2
 
 
 def test_corpus_seed_changes_fields(r3):

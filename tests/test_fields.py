@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hgineq import (
+    CorpusSpec,
     InvalidParameterError,
     PolyFactor,
     UnsupportedDomainError,
@@ -11,11 +12,15 @@ from hgineq import (
     gaussian_profile,
     generic_field,
     log_gaussian_profile,
+    make_corpus,
     make_norm,
+    nth_radial_derivative,
     parse_group,
     product_field,
     radial_field,
 )
+from hgineq.fields import _profile_dtype, orbit_profiles
+from hgineq.quadrature import sphere_rule
 
 
 @pytest.fixture
@@ -167,3 +172,159 @@ def test_field_support_validation(heis_pair):
     g, n = heis_pair
     with pytest.raises(InvalidParameterError):
         generic_field(lambda x: x[..., 0], support=(2.0, 1.0), norm=n)
+
+
+# -- the masked evaluators as first written, the bit-for-bit oracle ---------------
+
+ORACLE_GROUPS = ("r:1", "r:3", "heis1", "aniso:1,2", "aniso:1,1,2")
+#: each group under its default norm, and three pairs beside
+ORACLE_PAIRS = [(name, None) for name in ORACLE_GROUPS] + [
+    ("r:3", "max"), ("heis1", "aniso"), ("aniso:1,2", "max")]
+
+
+def _ref_monomials(poly, x):
+    x = np.asarray(x, dtype=float)
+    e = np.asarray(poly.exponents)
+    out = np.ones(x.shape[:-1] + (len(e),))
+    for i in range(e.shape[1]):
+        power = np.ones(x.shape[:-1])
+        for d in range(1, e[:, i].max() + 1):
+            power = power * x[..., i]
+            out[..., e[:, i] == d] *= power[..., None]
+    return out
+
+
+def _ref_poly(poly, x):
+    return _ref_monomials(poly, x) @ np.asarray(poly.coeffs)
+
+
+def _single_point(fn):
+    def wrapped(f, x):
+        x = np.asarray(x, dtype=float)
+        return fn(f, x[None])[0] if x.ndim == 1 else fn(f, x)
+
+    return wrapped
+
+
+def _dtype(f):
+    dt = _profile_dtype(f.profile, f.support)
+    return dt if f.poly is None else np.result_type(dt, np.asarray(f.poly.coeffs).dtype)
+
+
+@_single_point
+def _ref_values(f, x):
+    prof, norm, poly, (r0, r1) = f.profile, f.norm, f.poly, f.support
+    r = norm(x)
+    out = np.zeros(r.shape, dtype=_dtype(f))
+    m = (r >= r0) & (r <= r1)
+    if np.any(m):
+        if poly is None:
+            out[m] = prof(r[m])
+        elif f.order == 0:
+            out[m] = prof(r[m]) * _ref_poly(poly, x[m])
+        else:
+            degs = poly.weighted_degrees(norm.group.weights)
+            rs = r[m]
+            terms = _ref_monomials(poly, x[m]) * rs[:, None] ** -degs
+            out[m] = (terms * orbit_profiles(prof, degs, f.order, rs)) @ np.asarray(poly.coeffs)
+    return out
+
+
+@_single_point
+def _ref_gradient(f, x):
+    prof, norm, poly, (r0, r1) = f.profile, f.norm, f.poly, f.support
+    r = norm(x)
+    out = np.zeros(x.shape, dtype=_dtype(f))
+    m = (r >= r0) & (r <= r1)
+    if np.any(m):
+        xs = x[m]
+        if poly is None:
+            out[m] = prof.derivatives(r[m], 1)[1][..., None] * norm.gradient(xs)
+        else:
+            stack = prof.derivatives(r[m], 1)
+            out[m] = (stack[1] * _ref_poly(poly, xs))[..., None] * norm.gradient(xs) + stack[0][
+                ..., None] * poly.gradient(xs)
+    return out
+
+
+def assert_same(got, want, where=""):
+    """Equal dtype, shape and bits (NaN included)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, where
+    assert np.array_equal(got, want, equal_nan=True), where
+    assert got.tobytes() == want.tobytes(), where
+
+
+def _blocks(group, norm, support):
+    """Orbit blocks wholly inside ``support``, straddling each edge, wholly
+    outside, inside but for one point, empty, a single point, and blocks
+    holding NaN rows or the origin."""
+    r0, r1 = support
+    nodes, _ = sphere_rule(norm, 12)
+    w = group.weight_array()
+
+    def on_orbits(t):
+        return (np.asarray(t)[:, None, None] ** w * nodes).reshape(-1, group.dim)
+
+    inside = on_orbits(np.linspace(1.05 * r0, 0.95 * r1, 9))
+    one_out = inside.copy()
+    one_out[len(one_out) // 2] = on_orbits([2.0 * r1])[0]
+    special = inside.copy()
+    special[3] = np.nan
+    special[7] = 0.0
+    rng = np.random.default_rng(7)
+    return {
+        "inside": inside,
+        "straddles r0": on_orbits(np.linspace(0.5 * r0, 2.0 * r0, 9)),
+        "straddles r1": on_orbits(np.linspace(0.5 * r1, 2.0 * r1, 9)),
+        "outside": on_orbits(np.linspace(1.1 * r1, 3.0 * r1, 5)),
+        "one point outside": one_out,
+        "empty": np.empty((0, group.dim)),
+        "single point": inside[5],
+        "single point outside": one_out[len(one_out) // 2],
+        "NaN and origin": special,
+        "NaN inside": np.where(np.arange(len(inside))[:, None] == 2, np.nan, inside),
+        "random": rng.normal(size=(200, group.dim)),
+        "batched": inside[:18].reshape(3, 6, group.dim),
+        "strided": np.asfortranarray(inside),
+    }
+
+
+def _oracle_fields(name, kind):
+    group = parse_group(name)
+    norm = make_norm(group, kind) if kind else default_norm(group)
+    spec = dict(count=6, seed=4, annulus=(0.3, 3.0))
+    radial = make_corpus(group, norm, CorpusSpec(radial_fraction=1.0, **spec))
+    product = make_corpus(group, norm, CorpusSpec(radial_fraction=0.0, **spec))
+    real = [radial_field(gaussian_profile(1.0), norm, support=(0.3, 3.0), field_id="real")]
+    orders = [nth_radial_derivative(group, norm, f, k) for f in product[:2] for k in (1, 2)]
+    fields = real + radial + product + orders
+    assert {f.order for f in fields} == {0, 1, 2}
+    assert {_dtype(f).kind for f in fields} == {"f", "c"}
+    return group, norm, fields
+
+
+@pytest.mark.parametrize("name, kind", ORACLE_PAIRS)
+def test_evaluators_match_the_masked_oracle(name, kind):
+    group, norm, fields = _oracle_fields(name, kind)
+    for f in fields:
+        for label, x in _blocks(group, norm, f.support).items():
+            assert_same(f.values(x), _ref_values(f, x), (f.field_id, label))
+            if f.gradient is not None:
+                assert_same(f.gradient(x), _ref_gradient(f, x), (f.field_id, label))
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_monomials_match_the_masked_oracle(name):
+    group = parse_group(name)
+    n = group.dim
+    rng = np.random.default_rng(11)
+    exps = [tuple(rng.integers(0, 4, size=n)) for _ in range(12)] + [(0,) * n, (2,) * n]
+    q = PolyFactor(exponents=tuple(exps), coeffs=(1.0,) * len(exps))
+    x = rng.normal(size=(500, n))
+    x[3] = np.nan
+    x[4] = 0.0
+    x[5, 0] = -0.0
+    x[6] = np.inf
+    for pts in (x, x[0], x[:0], x.reshape(20, 25, n), np.asfortranarray(x)):
+        assert_same(q.monomials(pts), _ref_monomials(q, pts))

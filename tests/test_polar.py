@@ -320,6 +320,53 @@ def test_blocks_give_the_values_of_one_call(r3, config):
     assert np.max(np.abs(blocked - single)) <= 1e-15 * np.max(np.abs(single))
 
 
+def _ref_on_orbits(group, f, t, nodes):
+    """``_on_orbits`` as first written: each block's points from one broadcast,
+    ``(rows, 1, 1) ** w * (S, n)``; the oracle for the column-wise fill."""
+    rows = t.reshape(-1, 1, 1)
+    step = max(1, _BLOCK // len(nodes))
+    blocks = [f.values((rows[i:i + step] ** group.weight_array() * nodes).reshape(-1, group.dim))
+              for i in range(0, len(rows), step)]
+    return np.concatenate(blocks, axis=None).reshape(t.shape + (len(nodes),))
+
+
+def _recording(support):
+    """A field that keeps a copy of every block of points it is called on."""
+    seen = []
+
+    def values(x):
+        seen.append(x.copy())
+        return np.zeros(len(x))
+
+    return generic_field(values, support), seen
+
+
+@pytest.mark.parametrize("name", ("r:1", "r:3", "heis1", "aniso:1,2", "aniso:1,1,2"))
+def test_orbit_points_match_the_broadcast_oracle(name, config):
+    group = parse_group(name)
+    norm = default_norm(group)
+    nodes, _ = sphere_rule(norm, config.sphere_order)
+    r, _ = polar_radial_nodes(0.2, 5.0, config.radial_order, config.radial_panels)
+    t = np.stack([0.99 * r, 1.01 * r])
+    t[0, 3] = np.nan
+    t[1, 5] = 0.0
+    for radii in (t, t[:, :1], 1.7 * t[1]):
+        got, got_seen = _recording((0.2, 5.0))
+        want, want_seen = _recording((0.2, 5.0))
+        _on_orbits(group, got, radii, nodes)
+        _ref_on_orbits(group, want, radii, nodes)
+        assert len(got_seen) == len(want_seen)
+        for a, b in zip(got_seen, want_seen):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    # and the values of an opaque product field, block for block
+    opaque = _opaque(group, norm)
+    want = _ref_on_orbits(group, opaque, t, nodes)
+    got = _on_orbits(group, opaque, t, nodes)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_opaque_report_peak_allocation_stays_small(r3):
     # one call on the whole stencil grid (2 x 256 x 288 points) peaked at 29 MB
     group, norm = r3

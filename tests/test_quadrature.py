@@ -73,6 +73,10 @@ def test_radial_oscillatory_vs_scipy():
 def test_effective_panels_grow_with_log_range():
     assert effective_panels(1.0, 2.0, 8) == 8
     assert effective_panels(1e-8, 1e8, 8) >= 2 * np.log(1e16) - 1
+    assert effective_panels(1e-150, 1e150, 8) == 1382
+    # a ratio beyond double range has no panel count
+    with pytest.raises(InvalidParameterError):
+        effective_panels(1e-300, 1e300, 8)
 
 
 def test_radial_validation():
