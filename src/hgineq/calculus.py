@@ -38,7 +38,10 @@ evaluated at the points ``D_r w``.  Both opaque routes call the field in
 cache-sized blocks of radii (:func:`_on_orbits`).  Derivative stacks
 (:func:`_profile_stack`) and opaque samples (:func:`_samples`) are kept
 for a fixed number of memoized node sets, so the norms, derivative orders
-and reports of one field share one evaluation.
+and reports of one field share one evaluation.  The weighted norms of
+quasi-radial and product fields in their own norm are kept as well, for
+the last two root profiles (:func:`weighted_lp_norm`): a field's check grid
+integrates each distinct norm once.
 """
 
 from __future__ import annotations
@@ -481,15 +484,36 @@ def _polar_integral(group, norm, f, parts, p, config):
     return scale * full, scale * err + scale_err * full
 
 
+#: norms kept: those of the last two fields, matched by root profile
+_NORM_FIELDS = 2
+_NORMS = {}  # id(root profile) -> (root profile, {key: (value, error)})
+
+
 def weighted_lp_norm(group, norm, f, weight, p, config=None):
     """``|| f / N^weight ||_p`` over the group, the one-part case of
-    :func:`_polar_integral`; returns ``(value, error)``."""
+    :func:`_polar_integral`; returns ``(value, error)``.
+
+    The norms of quasi-radial and product fields in their own norm are
+    kept for the last two root profiles, keyed by every other input of the
+    integral, so the checks of one field measure each norm once."""
     if not p >= 1.0:
         raise InvalidParameterError("p must satisfy p >= 1")
-    total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p,
-                                       config or DEFAULT_CONFIG)
+    config = config or DEFAULT_CONFIG
+    memo = None
+    if f.structure in ("radial", "product") and _compatible(f.norm, norm):
+        root, k = f.profile.root()
+        entry = _NORMS.pop(id(root), None) or (root, {})
+        memo = _keep(_NORMS, _NORM_FIELDS, id(root), entry)[1]
+        key = (k, f.poly, f.order, f.support, group, norm.kind, weight, p,
+               config.radial_order, config.radial_panels)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p, config)
     value = total ** (1.0 / p)
     error = value * (total_err / total) / p if value > 0 else total_err ** (1.0 / p)
+    if memo is not None:
+        memo[key] = (value, error)
     return value, error
 
 

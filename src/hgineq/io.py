@@ -62,6 +62,9 @@ _REPORT_FIELDS = (
     "detail",
 )
 
+#: A report's document entry in key order: (encoded key + ": ", attribute).
+_REPORT_ENTRIES = tuple((_encode_str(k) + ": ", k) for k in sorted(_REPORT_FIELDS))
+
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -140,7 +143,9 @@ def render_json(reports, meta=None, timestamp=False):
 def render_document(doc):
     """The text of ``doc``: ``json.dumps`` of ``_jsonable(doc)`` with a
     two-space indent and sorted keys, plus a newline, byte for byte.  One
-    pass writes it, converting each leaf as it meets it."""
+    pass writes it, converting each leaf as it meets it.  A report's
+    entries are written in a fixed key order (``_REPORT_ENTRIES``) and
+    joined into one string before they join the document's."""
     out = []
     _write(doc, out, "\n")
     out.append("\n")
@@ -184,6 +189,16 @@ def _write(obj, out, nl):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
+    elif isinstance(obj, InequalityReport):
+        inner = nl + "  "
+        parts = []
+        sep = "{" + inner
+        for head, attr in _REPORT_ENTRIES:
+            parts.append(sep + head)
+            _write(getattr(obj, attr), parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+        out.append("".join(parts))
     else:
         leaf = _leaf(obj)
         if leaf is obj:

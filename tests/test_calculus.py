@@ -33,7 +33,7 @@ from hgineq import (
     weighted_combo_l2,
     weighted_lp_norm,
 )
-from hgineq import calculus
+from hgineq import calculus, reports
 from hgineq.calculus import _SIGMA_CACHE, _STACK_ENTRIES, _STACKS, _profile_stack
 from hgineq.norms import QuasiNormSpec
 from hgineq.quadrature import radial_log_nodes
@@ -426,6 +426,7 @@ def test_stack_cache_and_node_memo_stay_bounded(r3, config):
         weighted_lp_norm(group, norm, nth_radial_derivative(group, norm, f, 1), 0.0, 2.0,
                          config)
     assert len(_STACKS) <= _STACK_ENTRIES
+    assert len(calculus._NORMS) <= calculus._NORM_FIELDS
     info = radial_log_nodes.cache_info()
     assert info.currsize <= info.maxsize
 
@@ -458,3 +459,102 @@ def test_derivative_chain_shares_its_roots_entry(r3):
     got = _profile_stack(second, nodes, 1)
     assert np.shares_memory(got, stack)
     np.testing.assert_array_equal(got, prof.derivative(2).derivatives(nodes, 1))
+
+
+# -- norm memo ------------------------------------------------------------------
+
+
+def _memo_profile():
+    """A new root profile each call: equal values, nothing shared."""
+    return log_gaussian_profile(1.0, 0.0, 0.5) * annulus_cutoff(0.2, 0.4, 2.5, 5.0)
+
+
+def _memo_settings(case, prof):
+    """Two measurements of one root profile that differ in one input of
+    the integral: ``(group, norm, field, weight, p, config)`` each."""
+    group = parse_group("r:3")
+    euclid, cube = make_norm(group, "euclid"), make_norm(group, "max")
+    base = (group, euclid, radial_field(prof, euclid), 0.5, 2.0, QuadratureConfig())
+    if case == "norm":
+        return [base, (group, cube, radial_field(prof, cube), 0.5, 2.0, QuadratureConfig())]
+    if case == "support":
+        narrow = radial_field(prof, euclid, support=(0.3, 4.0))
+        return [base, (group, euclid, narrow, 0.5, 2.0, QuadratureConfig())]
+    if case == "profile support":
+        narrow = radial_field(prof.with_support((0.3, 4.0)), euclid)
+        return [base, (group, euclid, narrow, 0.5, 2.0, QuadratureConfig())]
+    if case == "radial order":
+        return [base, (*base[:5], QuadratureConfig(radial_order=8))]
+    if case == "p":
+        return [base, (*base[:4], 3.0, base[5])]
+    if case == "weight":
+        return [base, (*base[:3], 1.0, *base[4:])]
+    polys = [PolyFactor(((1, 0, 0),), (1.0,)), PolyFactor(((0, 0, 2), (2, 0, 0)), (1.0, 0.5j))]
+    fields = [product_field(prof, q, euclid) for q in polys]
+    if case == "poly":
+        return [(group, euclid, g, 0.5, 2.0, QuadratureConfig()) for g in fields]
+    assert case == "order"
+    deriv = nth_radial_derivative(group, euclid, fields[0], 1)
+    return [(group, euclid, g, 0.5, 2.0, QuadratureConfig()) for g in (fields[0], deriv)]
+
+
+@pytest.mark.parametrize("case", ["norm", "support", "profile support", "radial order", "p",
+                                  "weight", "poly", "order"])
+def test_norm_memo_keeps_apart_what_changes_the_integral(case):
+    prof = _memo_profile()
+    got = [weighted_lp_norm(*setting) for setting in _memo_settings(case, prof)]
+    assert got[0][0] != got[1][0]
+    for i, value in enumerate(got):
+        assert value == weighted_lp_norm(*_memo_settings(case, _memo_profile())[i]), i
+    # measured again, both come from the memo
+    assert [weighted_lp_norm(*setting) for setting in _memo_settings(case, prof)] == got
+
+
+@pytest.mark.parametrize("radial_fraction", [1.0, 0.0])
+def test_one_fields_grid_measures_each_norm_once(heis, radial_fraction, monkeypatch):
+    group, norm = heis
+    f = _corpus_field(group, norm, radial_fraction)
+    norms, combos, integrals = [], [], []
+    lp, combo, polar = reports.weighted_lp_norm, reports.weighted_combo_l2, calculus._polar_integral
+
+    def counting_lp(group, norm, g, weight, p, config=None):
+        norms.append((g.profile.root()[1], g.order, weight, p))
+        return lp(group, norm, g, weight, p, config)
+
+    def counting_combo(group, norm, g, terms, *args, **kwargs):
+        combos.append(tuple(terms))
+        return combo(group, norm, g, terms, *args, **kwargs)
+
+    def counting_polar(*args):
+        integrals.append(args)
+        return polar(*args)
+
+    monkeypatch.setattr(reports, "weighted_lp_norm", counting_lp)
+    monkeypatch.setattr(reports, "weighted_combo_l2", counting_combo)
+    monkeypatch.setattr(calculus, "_polar_integral", counting_polar)
+    for check, point in _GRID:
+        _report(check, group, norm, f, point)
+    assert len(integrals) == len(set(norms)) + len(set(combos))
+    assert len(set(norms)) < len(norms) / 2
+
+
+@pytest.mark.parametrize("radial_fraction", [1.0, 0.0])
+@pytest.mark.parametrize("name", ["heis1", "aniso:1,2"])
+def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fraction):
+    group = parse_group(name)
+    norm = default_norm(group)
+
+    def run(order, clear=False):
+        f = _corpus_field(group, norm, radial_fraction)
+        out = {}
+        for i in order:
+            if clear:
+                calculus._NORMS.clear()
+                _STACKS.clear()
+            check, point = _GRID[i]
+            out[i] = _report(check, group, norm, f, point)
+        return out
+
+    forward = run(range(len(_GRID)))
+    assert run(reversed(range(len(_GRID)))) == forward
+    assert run(range(len(_GRID)), clear=True) == forward
