@@ -41,13 +41,15 @@ for a fixed number of memoized node sets, so the norms, derivative orders
 and reports of one field share one evaluation.  The weighted norms of
 quasi-radial and product fields in their own norm are kept as well, for
 the last two root profiles (:func:`weighted_lp_norm`): a field's check grid
-integrates each distinct norm once.
+integrates each distinct norm once.  A field is in its own norm when its
+norm equals the integration norm as a value: the same kind on an equal
+group, id and weights.  The sigma memo compares the same values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -86,11 +88,9 @@ _MODES = ("auto", "analytic", "orbit_fd")
 
 
 def _compatible(field_norm, norm):
-    return (
-        field_norm is not None
-        and field_norm.kind == norm.kind
-        and field_norm.group.name == norm.group.name
-    )
+    """Whether a field built in ``field_norm`` is measured in its own norm:
+    the same value ``(kind, group)``, most often the very same object."""
+    return field_norm is norm or field_norm == norm
 
 
 def _orbit_fd(k, r, sample):
@@ -223,14 +223,7 @@ class SphereMeasure:
     config_digest: str
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "error": self.error,
-            "method": self.method,
-            "group": self.group,
-            "norm": self.norm,
-            "config_digest": self.config_digest,
-        }
+        return asdict(self)
 
 
 _SIGMA_CACHE = {}
@@ -265,15 +258,17 @@ def sphere_measure(group, norm, config=None):
                 evaluations.
     ``mc``      beyond dimension 4: Monte Carlo on ``1{a < N(x) <= b}``.
 
-    Results are memoized per process and configuration.
+    Results are memoized per process by value: per group, norm (its kind
+    and its own group) and configuration.
     """
     config = config or DEFAULT_CONFIG
+    key = (group, norm, config.digest())
+    sm = _SIGMA_CACHE.get(key)
+    if sm is not None:
+        return sm
+
     n = group.dim
     method = "smooth" if n <= 4 else "mc"
-    key = (group.name, norm.kind, config.digest())
-    if key in _SIGMA_CACHE:
-        return _SIGMA_CACHE[key]
-
     a, b = _SIGMA_ANNULUS
     q_dim = group.homogeneous_dimension
     halfwidths = norm.bounding_halfwidths(b)
@@ -504,7 +499,7 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
         root, k = f.profile.root()
         entry = _NORMS.pop(id(root), None) or (root, {})
         memo = _keep(_NORMS, _NORM_FIELDS, id(root), entry)[1]
-        key = (k, f.poly, f.order, f.support, group, norm.kind, weight, p,
+        key = (k, f.poly, f.order, f.support, group, norm, weight, p,
                config.radial_order, config.radial_panels)
         hit = memo.get(key)
         if hit is not None:

@@ -14,6 +14,11 @@ Catalog ids:
 - ``r:<n>``: R^n with all weights 1.
 - ``aniso:<w1,...,wn>``: R^n with the given weights.
 - ``heis1``: the first Heisenberg group on R^3, weights (1, 1, 2).
+
+:func:`parse_group` names a group by its exact weights: parsing
+``g.name`` again gives ``g.weights`` bit for bit.  A group is its value
+``(name, weights)``, so one built by hand under a catalog name but with
+other weights is another group.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ class GroupSpec:
         Catalog identifier, e.g. ``"r:3"``, ``"aniso:1,2"``, ``"heis1"``.
     weights : tuple of float
         Dilation weights ``w_i``, all positive and finite; ``dim`` is their
-        number.
+        number.  Any sequence of numbers is stored as a tuple of floats.
     """
 
     name: str
     weights: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not self.weights:
             raise UnsupportedGroupError("a group needs at least one dilation weight")
         if not all(0 < w < math.inf for w in self.weights):
@@ -63,7 +69,11 @@ class GroupSpec:
 
 
 def parse_group(text):
-    """Parse a catalog identifier (``r:<n>``, ``aniso:<w1,w2,...>``, ``heis1``)."""
+    """Parse a catalog identifier (``r:<n>``, ``aniso:<w1,w2,...>``, ``heis1``).
+
+    An anisotropic weight is spelled ``{w:g}`` when that reads back as
+    ``w`` and ``repr(w)`` otherwise: ``aniso:1.0,2.50`` is named
+    ``aniso:1,2.5`` and ``aniso:1.0000001,2`` keeps its digits."""
     text = text.strip()
     if text == "heis1":
         return GroupSpec("heis1", (1.0, 1.0, 2.0))
@@ -78,8 +88,13 @@ def parse_group(text):
             w = tuple(float(v) for v in text[6:].split(",") if v.strip())
         except ValueError:
             raise UnsupportedGroupError(f"bad anisotropic id {text!r}") from None
-        return GroupSpec("aniso:" + ",".join(f"{v:g}" for v in w), w)
+        return GroupSpec("aniso:" + ",".join(_spell(v) for v in w), w)
     raise UnsupportedGroupError(f"unknown group id {text!r}")
+
+
+def _spell(w):
+    short = f"{w:g}"
+    return short if float(short) == w else repr(w)
 
 
 def dilate(group, lam, x):

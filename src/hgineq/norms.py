@@ -37,15 +37,7 @@ from .groups import GroupSpec, dilate
 
 NORM_KINDS = ("euclidean", "aniso_power", "max_scaled", "koranyi")
 
-_NORM_ALIASES = {
-    "euclid": "euclidean",
-    "euclidean": "euclidean",
-    "aniso": "aniso_power",
-    "aniso_power": "aniso_power",
-    "max": "max_scaled",
-    "max_scaled": "max_scaled",
-    "koranyi": "koranyi",
-}
+_NORM_ALIASES = {"euclid": "euclidean", "aniso": "aniso_power", "max": "max_scaled"}
 
 
 @dataclass(frozen=True)
@@ -53,18 +45,17 @@ class QuasiNormSpec:
     """A homogeneous quasi-norm bound to a specific group.
 
     Instances are callable: ``norm(x)`` returns the norm of points with
-    shape ``(..., n)``.
+    shape ``(..., n)``.  A norm is its value ``(kind, group)``: caches and
+    the check that a field is measured in its own norm compare specs by
+    ``==``, never by a label.
     """
 
     kind: str
     group: GroupSpec = field(repr=False)
-    name: str = ""
 
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
             raise IncompatibleNormError(f"unknown norm kind {self.kind!r}")
-        if not self.name:
-            object.__setattr__(self, "name", self.kind)
 
     @property
     def smooth(self):
@@ -148,11 +139,9 @@ def _fold_columns(op, y):
 def make_norm(group, kind):
     """Build a quasi-norm on ``group``, validating compatibility."""
     kind = _NORM_ALIASES.get(kind, kind)
-    if kind not in NORM_KINDS:
-        raise IncompatibleNormError(f"unknown norm kind {kind!r}")
     if kind == "euclidean" and any(w != 1.0 for w in group.weights):
         raise IncompatibleNormError("euclidean norm requires isotropic weights")
-    if kind == "koranyi" and tuple(group.weights) != (1.0, 1.0, 2.0):
+    if kind == "koranyi" and group.weights != (1.0, 1.0, 2.0):
         raise IncompatibleNormError("koranyi norm requires weights (1, 1, 2)")
     return QuasiNormSpec(kind=kind, group=group)
 

@@ -6,6 +6,7 @@ import pytest
 from hgineq import (
     CorpusSpec,
     DegenerateConstantError,
+    GroupSpec,
     InvalidParameterError,
     MissingDerivativeError,
     PolyFactor,
@@ -191,7 +192,20 @@ def test_sphere_measure_memoization(config):
     norm = default_norm(group)
     first = sphere_measure(group, norm, config=config)
     assert sphere_measure(group, norm, config=config) is first
-    assert list(_SIGMA_CACHE) == [("r:3", "euclidean", config.digest())]
+    # keyed by value: equal objects built anew share the entry
+    assert sphere_measure(parse_group("r:3"), default_norm(parse_group("r:3")),
+                          config=config) is first
+    assert list(_SIGMA_CACHE) == [(group, norm, config.digest())]
+
+
+def test_sphere_measure_of_close_weights_is_their_own(config):
+    near, far = parse_group("aniso:1,2"), parse_group("aniso:1.0000001,2")
+    clear_sphere_measure_cache()
+    cold = sphere_measure(far, default_norm(far), config=config)
+    clear_sphere_measure_cache()
+    sphere_measure(near, default_norm(near), config=config)
+    assert sphere_measure(far, default_norm(far), config=config) == cold
+    assert cold.value != sphere_measure(near, default_norm(near), config=config).value
 
 
 @pytest.mark.parametrize("group,norm", list(catalog_pairs()),
@@ -461,6 +475,38 @@ def test_derivative_chain_shares_its_roots_entry(r3):
     np.testing.assert_array_equal(got, prof.derivative(2).derivatives(nodes, 1))
 
 
+# -- which norm a field is measured in ---------------------------------------------
+
+
+def test_a_catalog_name_on_other_weights_is_another_norm():
+    """A Gaussian built under ``max`` on a hand-made group named ``r:3`` with
+    the weights of ``heis1`` is not quasi-radial in ``r:3``'s ``max`` norm:
+    it measures as the same values wrapped as an opaque field."""
+    fake = GroupSpec("r:3", (1, 1, 2))
+    f = radial_field(gaussian_profile(), make_norm(fake, "max"), support=(0.2, 5.0))
+    group = parse_group("r:3")
+    norm = make_norm(group, "max")
+    value, error = weighted_lp_norm(group, norm, f, 0.0, 2.0)
+    opaque, opaque_error = weighted_lp_norm(group, norm, generic_field(f.values, f.support),
+                                            0.0, 2.0)
+    assert abs(value - opaque) <= error + opaque_error
+
+
+def test_an_equal_norm_object_keeps_the_one_node_route(monkeypatch):
+    group = parse_group("heis1")
+    own, equal = make_norm(group, "koranyi"), default_norm(parse_group("heis1"))
+    assert own is not equal
+    fields = [radial_field(_memo_profile(), own) for _ in range(2)]
+    want = weighted_lp_norm(group, own, fields[0], 0.5, 2.0)
+
+    def no_sphere_rule(*args):
+        raise AssertionError("left the one-node route")
+
+    monkeypatch.setattr(calculus, "sphere_rule", no_sphere_rule)
+    assert weighted_lp_norm(group, equal, fields[1], 0.5, 2.0) == want
+    assert nth_radial_derivative(group, equal, fields[1], 2).structure == "radial"
+
+
 # -- norm memo ------------------------------------------------------------------
 
 
@@ -477,6 +523,10 @@ def _memo_settings(case, prof):
     base = (group, euclid, radial_field(prof, euclid), 0.5, 2.0, QuadratureConfig())
     if case == "norm":
         return [base, (group, cube, radial_field(prof, cube), 0.5, 2.0, QuadratureConfig())]
+    if case == "norm group":
+        other = make_norm(GroupSpec("r:3", (1.0, 1.0, 1.5)), "max")
+        return [(*base[:1], cube, radial_field(prof, cube), *base[3:]),
+                (group, other, radial_field(prof, other), 0.5, 2.0, QuadratureConfig())]
     if case == "support":
         narrow = radial_field(prof, euclid, support=(0.3, 4.0))
         return [base, (group, euclid, narrow, 0.5, 2.0, QuadratureConfig())]
@@ -498,8 +548,8 @@ def _memo_settings(case, prof):
     return [(group, euclid, g, 0.5, 2.0, QuadratureConfig()) for g in (fields[0], deriv)]
 
 
-@pytest.mark.parametrize("case", ["norm", "support", "profile support", "radial order", "p",
-                                  "weight", "poly", "order"])
+@pytest.mark.parametrize("case", ["norm", "norm group", "support", "profile support",
+                                  "radial order", "p", "weight", "poly", "order"])
 def test_norm_memo_keeps_apart_what_changes_the_integral(case):
     prof = _memo_profile()
     got = [weighted_lp_norm(*setting) for setting in _memo_settings(case, prof)]

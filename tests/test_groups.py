@@ -34,11 +34,31 @@ def test_parse_group_catalog():
     assert g.weights == (1.0, 1.0, 2.0)
     assert g.homogeneous_dimension == 4.0
 
-    # ids normalize: integer dims and ``%g`` weights
+    # ids normalize: integer dims and ``%g`` weights, unless ``%g`` would round
     assert parse_group(" r:03 ").name == "r:3"
     g = parse_group("aniso:1.0,2.50")
     assert (g.name, g.weights, g.dim) == ("aniso:1,2.5", (1.0, 2.5), 2)
+    assert parse_group("aniso:1.0000001,2").name == "aniso:1.0000001,2"
     assert parse_group("aniso:1,1,2").weights == parse_group("heis1").weights
+
+
+@pytest.mark.parametrize("text", ["r:1", "r:2", " r:03 ", "r:5", "heis1", "aniso:1,1",
+                                  "aniso:1,2", "aniso:1,1,2", "aniso:1,2.5", "aniso:1.0,2.50",
+                                  "aniso:1.0000001,2", "aniso:0.1,0.3", "aniso:1e-7,3"])
+def test_group_ids_name_their_weights_exactly(text):
+    g = parse_group(text)
+    again = parse_group(g.name)
+    assert (again.name, again.weights) == (g.name, g.weights)
+    assert all(type(w) is float for w in g.weights)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0], [1, 2], (1, 2.0), np.array([1.0, 2.0])])
+def test_weights_are_stored_as_a_tuple_of_floats(weights):
+    g = GroupSpec("mine", weights)
+    assert g.weights == (1.0, 2.0)
+    assert all(type(w) is float for w in g.weights)
+    assert g == GroupSpec("mine", (1.0, 2.0))
+    assert hash(g) == hash(GroupSpec("mine", (1.0, 2.0)))
 
 
 @pytest.mark.parametrize("bad", ["r:0", "r:-1", "aniso:", "aniso:0,1", "heis2", "blah", "r:x",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,7 @@ from hgineq import (
     make_norm,
     parse_group,
 )
-from hgineq.norms import NORM_KINDS
+from hgineq.norms import NORM_KINDS, QuasiNormSpec
 from tests.conftest import catalog_pairs
 
 
@@ -66,6 +67,21 @@ def test_norm_compatibility_rules():
     # keyed by id: the weights of r:2 and heis1 under aniso ids keep aniso_power
     for name in ("aniso:1,1", "aniso:1,1,2"):
         assert default_norm(parse_group(name)).kind == "aniso_power"
+
+
+def test_a_norm_is_its_kind_and_group():
+    assert [f.name for f in dataclasses.fields(QuasiNormSpec)] == ["kind", "group"]
+    a, b = make_norm(parse_group("heis1"), "koranyi"), default_norm(parse_group("heis1"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert make_norm(parse_group("aniso:1,1,2"), "koranyi") != a  # another group's name
+    assert make_norm(parse_group("heis1"), "max") != make_norm(parse_group("aniso:1,1,2"), "max")
+
+
+def test_unknown_norm_kind_is_refused_by_name():
+    for make in (lambda: make_norm(parse_group("r:2"), "taxicab"),
+                 lambda: QuasiNormSpec("taxicab", parse_group("r:2"))):
+        with pytest.raises(IncompatibleNormError, match="unknown norm kind 'taxicab'"):
+            make()
 
 
 def test_koranyi_is_a_rule_on_the_weights():
