@@ -38,12 +38,15 @@ evaluated at the points ``D_r w``.  Both opaque routes call the field in
 cache-sized blocks of radii (:func:`_on_orbits`).  Derivative stacks
 (:func:`_profile_stack`) and opaque samples (:func:`_samples`) are kept
 for a fixed number of memoized node sets, so the norms, derivative orders
-and reports of one field share one evaluation.  The weighted norms of
-quasi-radial and product fields in their own norm are kept as well, for
-the last two root profiles (:func:`weighted_lp_norm`): a field's check grid
-integrates each distinct norm once.  A field is in its own norm when its
-norm equals the integration norm as a value: the same kind on an equal
-group, id and weights.  The sigma memo compares the same values.
+and reports of one field share one evaluation; a truncation cutoff's
+stack is shared across fields (:func:`~hgineq.profiles.annulus_cutoff`).
+The weighted norms of quasi-radial and product fields in their own norm
+are kept as well, for the last two root profiles (:func:`weighted_lp_norm`):
+a field's check grid integrates each distinct norm once.  A field is in its
+own norm when its norm equals the integration norm as a value: the same
+kind on an equal group, id and weights.  The sigma memo compares the same
+values.  A norm is integrated only on a group with its own group's weights
+(:func:`_own_group`).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import (
+    IncompatibleNormError,
     InvalidParameterError,
     MissingDerivativeError,
     SingularPointError,
@@ -61,7 +65,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
-from .profiles import annulus_cutoff
+from .profiles import _keep, annulus_cutoff
 from .quadrature import (
     DEFAULT_CONFIG,
     integrate_box,
@@ -91,6 +95,16 @@ def _compatible(field_norm, norm):
     """Whether a field built in ``field_norm`` is measured in its own norm:
     the same value ``(kind, group)``, most often the very same object."""
     return field_norm is norm or field_norm == norm
+
+
+def _own_group(group, norm):
+    """Refuse to integrate ``norm`` on a group with other dilation weights
+    than its own: the polar route needs ``N(D_t x) = t N(x)`` under
+    ``group``'s dilations, and the weights are all it depends on."""
+    if not (norm.group is group or norm.group.weights == group.weights):
+        raise IncompatibleNormError(
+            f"norm {norm.kind!r} on {norm.group.name} {norm.group.weights} cannot be "
+            f"integrated on {group.name} {group.weights}")
 
 
 def _orbit_fd(k, r, sample):
@@ -261,6 +275,7 @@ def sphere_measure(group, norm, config=None):
     Results are memoized per process by value: per group, norm (its kind
     and its own group) and configuration.
     """
+    _own_group(group, norm)
     config = config or DEFAULT_CONFIG
     key = (group, norm, config.digest())
     sm = _SIGMA_CACHE.get(key)
@@ -307,16 +322,6 @@ def sphere_measure(group, norm, config=None):
                        config.digest())
     _SIGMA_CACHE[key] = sm
     return sm
-
-
-def _keep(cache, size, ids, entry):
-    """Store ``entry`` as the newest of ``cache``, a dict keyed by the ids
-    of the objects ``entry`` holds (so the ids stay theirs), keep the
-    newest ``size`` entries, and return it.  A lookup pops its entry."""
-    cache[ids] = entry
-    if len(cache) > size:
-        del cache[next(iter(cache))]
-    return entry
 
 
 #: stacks kept: the full and the coarse node set of two fields
@@ -434,6 +439,7 @@ def _polar_integral(group, norm, f, parts, p, config):
     over many decades.  The error is the difference against one pass at
     half the orders, plus sigma's error times the value.
     """
+    _own_group(group, norm)
     if f.support is None:
         raise UnsupportedDomainError("field must declare a support annulus")
     if f.support[0] <= 0.0 and any(a * p > 0 for _, _, a in parts):

@@ -27,7 +27,17 @@ on the plateau, and that band's step inside each band.  Only band points
 go through the ``exp(-1/t)`` recurrences, one call for both bands.  Every
 recurrence keeps each entry's float operations and their order, so stacks
 equal those of the plain double loops bit for bit (``tests/test_profiles.py``
-keeps those loops as the reference).
+keeps those loops as the reference).  The stack is written into one array
+a row at a time, each row's band points by a 1-D scatter.
+
+A cutoff depends on its four radii only, so every field, scan entry and
+report that carries the same cutoff shares its stack on a memoized radial
+node array (:func:`~hgineq.quadrature.is_radial_node_set`).  The last
+``_CUTOFF_ENTRIES`` such stacks are kept, each ``(order + 1) x nodes``
+floats: the seven default scan carriers, the corpus annulus and sigma's
+annulus, on the full and the coarse node set, make 18 (~0.9 MB).  No other
+piece is kept: exp-power cores depend on ``(p, alpha, beta)`` and corpus
+bumps are random, so neither recurs.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError
+from .quadrature import is_radial_node_set
 
 # exp(-1/t) underflows to exactly 0.0 for t <= 1/745; padding the plateau
 # at 1e-4 is therefore exact in double precision.
@@ -322,11 +333,8 @@ def _neg_reciprocal_stack(t, order):
 def _step_band(t, order):
     """Stack of ``s(t) = a(t)/(a(t)+a(1-t))`` at points ``pad < t < 1 - pad``."""
     n = t.size
-    both = np.empty(2 * n)
-    both[:n] = t
-    np.subtract(1.0, t, out=both[n:])
-    h = _exp_stack(_neg_reciprocal_stack(both, order))
-    del both
+    # t and 1 - t in one array, freed once its reciprocal stack is taken
+    h = _exp_stack(_neg_reciprocal_stack(np.concatenate((t, 1.0 - t)), order))
     s, d = h[:, :n], h[:, n:]
     d[1::2] *= -1.0  # chain rule through t -> 1 - t
     d += s
@@ -352,12 +360,15 @@ def smooth_step_stack(t, order):
 
 
 def _assemble(one, band, s, shape):
-    """The stack that is 1 where ``one``, ``s`` at flat indices ``band``
-    and 0 elsewhere, shaped ``(order + 1,) + shape``."""
-    out = np.zeros((s.shape[0], one.size))
-    out[0] = one
-    out[:, band] = s
-    return out.reshape(s.shape[:1] + shape)
+    """The stack that is 1 where ``one``, ``s`` at flat indices ``band`` and
+    0 elsewhere, shaped ``(order + 1,) + shape``; written a row at a time."""
+    out = np.empty(s.shape[:1] + shape)
+    rows = out.reshape(len(s), one.size)
+    rows[0] = one
+    rows[1:] = 0.0
+    for row, vals in zip(rows, s):
+        row[band] = vals
+    return out
 
 
 def smooth_step_profile(lo, hi, rising=True):
@@ -381,6 +392,22 @@ def smooth_step_profile(lo, hi, rising=True):
     return RadialProfile(stack, label=f"{kind}[{lo:g},{hi:g}]")
 
 
+def _keep(cache, size, ids, entry):
+    """Store ``entry`` as the newest of ``cache``, a dict keyed by the ids
+    of the objects ``entry`` holds (so the ids stay theirs), keep the
+    newest ``size`` entries, and return it.  A lookup pops its entry."""
+    cache[ids] = entry
+    if len(cache) > size:
+        del cache[next(iter(cache))]
+    return entry
+
+
+#: cutoff stacks kept: 18 cover the full and the coarse node set of each
+#: default scan carrier, the corpus annulus and sigma's annulus
+_CUTOFF_ENTRIES = 32
+_CUTOFF_STACKS = {}  # (radii, id(node array)) -> (node array, read-only stack)
+
+
 def annulus_cutoff(lo, lo_top, hi_bottom, hi):
     """Smooth cutoff equal to 1 on ``[lo_top, hi_bottom]``, 0 outside ``(lo, hi)``.
 
@@ -388,17 +415,21 @@ def annulus_cutoff(lo, lo_top, hi_bottom, hi):
     the canonical ``exp(-1/t)`` step, rising in ``t = (r - lo)/(lo_top - lo)``
     and falling in ``t = (hi - r)/(hi - hi_bottom)``.  The bands are
     disjoint, so at each point at most one step is off its plateau.
+
+    On a memoized radial node array the stack is kept, matched by the
+    radii's values and the array's identity, and returned read-only (see
+    the module docstring); any other array is evaluated afresh.  A lower order is a slice of the
+    kept stack, bit for bit a fresh one; a higher order recomputes it.
     """
     if not (0.0 < lo < lo_top <= hi_bottom < hi):
         raise InvalidParameterError("cutoff bands must satisfy 0 < lo < lo_top <= hi_bottom < hi")
-    lo, lo_top, hi_bottom, hi = float(lo), float(lo_top), float(hi_bottom), float(hi)
+    lo, lo_top, hi_bottom, hi = radii = float(lo), float(lo_top), float(hi_bottom), float(hi)
     rise, fall = 1.0 / (lo_top - lo), 1.0 / (hi - hi_bottom)
 
-    def stack(r, order):
-        r = np.asarray(r, dtype=float)
+    def band_stack(r, order):
         x = r.ravel()
         # one full-size t array at a time: rising step, then falling step
-        t = np.subtract(x, lo, out=np.empty_like(x))
+        t = x - lo
         t *= rise
         one = t >= 1.0 - _STEP_PAD
         up = np.flatnonzero((t > _STEP_PAD) & ~one)
@@ -416,5 +447,15 @@ def annulus_cutoff(lo, lo_top, hi_bottom, hi):
             s[k, :n] *= rise**k
             s[k, n:] *= (-fall) ** k
         return _assemble(one, np.concatenate((up, down)), s, r.shape)
+
+    def stack(r, order):
+        if not is_radial_node_set(r):
+            return band_stack(r, order)
+        ids = radii + (id(r),)
+        entry = _CUTOFF_STACKS.pop(ids, None)
+        if entry is None or len(entry[1]) <= order:
+            entry = (r, band_stack(r, order))
+            entry[1].flags.writeable = False
+        return _keep(_CUTOFF_STACKS, _CUTOFF_ENTRIES, ids, entry)[1][:order + 1]
 
     return RadialProfile(stack, support=(lo, hi), label=f"cutoff[{lo:g},{hi:g}]")

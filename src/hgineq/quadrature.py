@@ -6,6 +6,9 @@ panel count automatically grows with the log-width of the interval).
 Node sets are memoized (:func:`radial_log_nodes`, :func:`polar_radial_nodes`
 and :func:`sphere_rule` keep a bounded number of read-only arrays), so every
 integral over the same interval at the same order sees the same array object.
+The radial node arrays are also registered while they live
+(:func:`is_radial_node_set`), so a consumer can tell such an array, whose
+values never change, from any other read-only array.
 
 :func:`sphere_rule` gives nodes on the unit sphere ``{N = 1}`` of a
 quasi-norm with cone-measure weights, so that with the radial panels
@@ -37,6 +40,7 @@ import itertools
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,6 +122,20 @@ def effective_panels(r_lo, r_hi, panels):
     return max(panels, int(math.ceil(2.0 * spread)))
 
 
+#: every live radial node array of the memoized rules, by id
+_RADIAL_NODE_SETS = weakref.WeakValueDictionary()
+
+
+def is_radial_node_set(r):
+    """Whether ``r`` is a node array returned by :func:`radial_log_nodes`
+    or :func:`polar_radial_nodes`: read-only and never changed."""
+    return _RADIAL_NODE_SETS.get(id(r)) is r
+
+
+def _register(nodes):
+    _RADIAL_NODE_SETS[id(nodes)] = nodes
+
+
 @functools.lru_cache(maxsize=64)
 def radial_log_nodes(r_lo, r_hi, order, panels):
     """Nodes and weights of panelwise Gauss-Legendre, log-spaced panels.
@@ -136,6 +154,7 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
     weights = (half * wg).ravel()
     nodes.flags.writeable = False
     weights.flags.writeable = False
+    _register(nodes)
     return nodes, weights
 
 
@@ -162,6 +181,7 @@ def polar_radial_nodes(r_lo, r_hi, order, panels):
     weights = np.concatenate([0.5 * r_b * wg, weights])
     nodes.flags.writeable = False
     weights.flags.writeable = False
+    _register(nodes)
     return nodes, weights
 
 

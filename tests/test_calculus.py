@@ -7,6 +7,7 @@ from hgineq import (
     CorpusSpec,
     DegenerateConstantError,
     GroupSpec,
+    IncompatibleNormError,
     InvalidParameterError,
     MissingDerivativeError,
     PolyFactor,
@@ -21,6 +22,7 @@ from hgineq import (
     gaussian_profile,
     generic_field,
     integrate_box,
+    l2_identity_report,
     log_gaussian_profile,
     make_corpus,
     make_norm,
@@ -30,11 +32,13 @@ from hgineq import (
     radial_derivative,
     radial_field,
     render_json,
+    sharpness_scan,
     sphere_measure,
     weighted_combo_l2,
     weighted_lp_norm,
 )
-from hgineq import calculus, reports
+from hgineq import calculus, profiles, quadrature, reports
+from hgineq.io import render_document
 from hgineq.calculus import _SIGMA_CACHE, _STACK_ENTRIES, _STACKS, _profile_stack
 from hgineq.norms import QuasiNormSpec
 from hgineq.quadrature import radial_log_nodes
@@ -492,6 +496,37 @@ def test_a_catalog_name_on_other_weights_is_another_norm():
     assert abs(value - opaque) <= error + opaque_error
 
 
+def test_a_norm_is_integrated_only_on_its_own_group():
+    """A Gaussian under ``max`` on ``aniso:1,1,1.5`` integrated on ``r:3``
+    read ||f||_2 = 3.9147 and sigma 34.58, without complaint.  On its own
+    group sigma is Q 2^n = 28 and ||f||_2^2 = sigma Gamma(Q/2) / 2."""
+    own = parse_group("aniso:1,1,1.5")
+    norm = make_norm(own, "max")
+    f = radial_field(gaussian_profile(), norm, support=(1e-6, 30.0))
+    other = parse_group("r:3")
+    with pytest.raises(IncompatibleNormError):
+        weighted_lp_norm(other, norm, f, 0.0, 2.0)
+    with pytest.raises(IncompatibleNormError):
+        weighted_combo_l2(other, norm, f, [(1.0, 1, 0.0)])
+    with pytest.raises(IncompatibleNormError):
+        weighted_lp_norm(other, norm, generic_field(f.values, f.support), 0.0, 2.0)
+    with pytest.raises(IncompatibleNormError):
+        sphere_measure(other, norm)
+    value, _ = weighted_lp_norm(own, norm, f, 0.0, 2.0)
+    # the box sigma is off by ~3e-5 relative here, more than its error estimate
+    assert value == pytest.approx(math.sqrt(14.0 * math.gamma(1.75)), rel=1e-4)
+    assert sphere_measure(own, norm).value == pytest.approx(28.0, rel=1e-4)
+    # an equal group built apart is the norm's own group
+    assert weighted_lp_norm(GroupSpec(own.name, own.weights), norm, f, 0.0, 2.0)[0] == value
+    # so is a group of another name with the same weights: the dilations agree
+    euclid = make_norm(other, "euclidean")
+    g = radial_field(gaussian_profile(), euclid, support=(1e-6, 30.0))
+    for same in (parse_group("aniso:1,1,1"), GroupSpec("e3", (1, 1, 1))):
+        assert weighted_lp_norm(same, euclid, g, 0.0, 2.0) == weighted_lp_norm(
+            other, euclid, g, 0.0, 2.0)
+        assert sphere_measure(same, euclid).value == sphere_measure(other, euclid).value
+
+
 def test_an_equal_norm_object_keeps_the_one_node_route(monkeypatch):
     group = parse_group("heis1")
     own, equal = make_norm(group, "koranyi"), default_norm(parse_group("heis1"))
@@ -526,7 +561,7 @@ def _memo_settings(case, prof):
     if case == "norm group":
         other = make_norm(GroupSpec("r:3", (1.0, 1.0, 1.5)), "max")
         return [(*base[:1], cube, radial_field(prof, cube), *base[3:]),
-                (group, other, radial_field(prof, other), 0.5, 2.0, QuadratureConfig())]
+                (other.group, other, radial_field(prof, other), 0.5, 2.0, QuadratureConfig())]
     if case == "support":
         narrow = radial_field(prof, euclid, support=(0.3, 4.0))
         return [base, (group, euclid, narrow, 0.5, 2.0, QuadratureConfig())]
@@ -601,6 +636,7 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
             if clear:
                 calculus._NORMS.clear()
                 _STACKS.clear()
+                profiles._CUTOFF_STACKS.clear()
             check, point = _GRID[i]
             out[i] = _report(check, group, norm, f, point)
         return out
@@ -608,3 +644,36 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
     forward = run(range(len(_GRID)))
     assert run(reversed(range(len(_GRID)))) == forward
     assert run(range(len(_GRID)), clear=True) == forward
+
+
+def _clear_every_cache():
+    calculus._NORMS.clear()
+    calculus._SAMPLES.clear()
+    _STACKS.clear()
+    profiles._CUTOFF_STACKS.clear()
+    clear_sphere_measure_cache()
+    for memo in (quadrature.radial_log_nodes, quadrature.polar_radial_nodes,
+                 quadrature.sphere_rule):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["r:3", "heis1"])
+def test_a_scan_and_a_deep_identity_read_the_same_with_every_cache_cleared(name):
+    """The shared cutoff stacks serve both: the scan's truncated extremizers
+    and the corpus field's cutoff on order-64 nodes."""
+    group = parse_group(name)
+    norm = default_norm(group)
+    deep = QuadratureConfig(radial_order=64, radial_panels=12)
+
+    def run():
+        scan = sharpness_scan(group, norm, 2.0, 0.0, 1.0)
+        report = l2_identity_report(group, norm, _corpus_field(group, norm), alpha=0.5, k=3,
+                                    config=deep, mode="analytic")
+        return render_document(scan.to_dict()), render_json([report])
+
+    _clear_every_cache()
+    cold = run()
+    assert len(profiles._CUTOFF_STACKS) > 1
+    assert run() == cold
+    _clear_every_cache()
+    assert run() == cold

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgineq import (
+    DEFAULT_CONFIG,
+    DEFAULT_SCHEDULE,
     InvalidParameterError,
     annulus_cutoff,
     constant_profile,
@@ -16,6 +18,7 @@ from hgineq import (
     smooth_step_profile,
 )
 from hgineq import profiles as P
+from hgineq.quadrature import polar_radial_nodes, radial_log_nodes
 
 R = np.geomspace(0.01, 100.0, 257)
 
@@ -356,3 +359,88 @@ def test_a_scalar_radius_gives_the_stack_of_a_one_point_array(prof):
         assert stack.shape == (4,)
         assert np.array_equal(stack, prof.derivatives(np.array([x]), 3)[:, 0])
         assert prof(x) == stack[0]
+
+
+# -- shared cutoff stacks ---------------------------------------------------------
+
+
+@pytest.fixture
+def empty_cutoff_memo():
+    P._CUTOFF_STACKS.clear()
+    yield P._CUTOFF_STACKS
+    P._CUTOFF_STACKS.clear()
+
+
+def _carriers():
+    """The corpus annulus and the carrier of each default scan entry, each
+    with the full and the coarse node set of the default configuration."""
+    bands = [(0.2, 0.4, 2.5, 5.0)] + [(e / 2, e, r, 2 * r) for e, r in DEFAULT_SCHEDULE]
+    order, panels = DEFAULT_CONFIG.radial_order, DEFAULT_CONFIG.radial_panels
+    return [(b, polar_radial_nodes(b[0], b[3], n, panels)[0])
+            for b in bands for n in (order, order // 2)]
+
+
+def test_memoized_stacks_equal_fresh_evaluations_bit_for_bit(empty_cutoff_memo):
+    for bands, r in _carriers():
+        assert not r.flags.writeable
+        fresh = annulus_cutoff(*bands).derivatives(np.array(r), 4)
+        # a lower order is a slice, a higher one replaces the entry
+        for order in (2, 0, 4, 1, 3):
+            got = annulus_cutoff(*bands).derivatives(r, order)
+            assert got.tobytes() == fresh[:order + 1].tobytes(), (bands, order)
+    assert len(empty_cutoff_memo) == len(_carriers())
+    # another cutoff on the same node array has its own entry
+    (bands, r), = _carriers()[:1]
+    other = (bands[0], 0.3, 3.0, bands[3])
+    got = annulus_cutoff(*other).derivatives(r, 2)
+    assert got.tobytes() == annulus_cutoff(*other).derivatives(np.array(r), 2).tobytes()
+    assert got.tobytes() != annulus_cutoff(*bands).derivatives(r, 2).tobytes()
+
+
+def test_a_cutoff_stack_is_shared_and_cannot_be_written(empty_cutoff_memo):
+    (bands, r), = _carriers()[:1]
+    first = annulus_cutoff(*bands).derivatives(r, 3)
+    second = annulus_cutoff(*bands).derivatives(r, 2)
+    assert np.shares_memory(first, second)
+    before = first.tobytes()
+    with pytest.raises(ValueError):
+        second[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        second.flags.writeable = True
+    # a product takes the shared stack and returns its own array
+    prod = (gaussian_profile(1.0) * annulus_cutoff(*bands)).derivatives(r, 3)
+    prod[:] = 0.0
+    assert annulus_cutoff(*bands).derivatives(r, 3).tobytes() == before
+
+
+def test_the_cutoff_memo_keeps_at_most_its_bound(empty_cutoff_memo):
+    cut = annulus_cutoff(0.2, 0.4, 2.5, 5.0)
+    for order in range(2, P._CUTOFF_ENTRIES + 12):
+        cut.derivatives(radial_log_nodes(0.2, 5.0, order, 8)[0], 1)
+        assert len(empty_cutoff_memo) <= P._CUTOFF_ENTRIES
+    assert len(empty_cutoff_memo) == P._CUTOFF_ENTRIES
+
+
+def test_a_read_only_view_of_changing_data_is_evaluated_fresh(empty_cutoff_memo):
+    (bands, r), = _carriers()[:1]
+    cut = annulus_cutoff(*bands)
+    base = np.array(r)
+    view = np.broadcast_to(base, base.shape)
+    assert not view.flags.writeable
+    assert cut.derivatives(view, 3).tobytes() == cut.derivatives(r, 3).tobytes()
+    base *= 1.5
+    assert cut.derivatives(view, 3).tobytes() == cut.derivatives(base.copy(), 3).tobytes()
+    frozen = np.array(r)
+    frozen.flags.writeable = False
+    cut.derivatives(frozen, 3)
+    assert len(empty_cutoff_memo) == 1
+
+
+def test_a_writable_array_is_evaluated_fresh(empty_cutoff_memo):
+    (bands, r), = _carriers()[:1]
+    shared = annulus_cutoff(*bands).derivatives(r, 3)
+    copy = np.array(r)
+    got = annulus_cutoff(*bands).derivatives(copy, 3)
+    assert got.flags.writeable and not np.shares_memory(got, shared)
+    assert got.tobytes() == shared.tobytes()
+    assert len(empty_cutoff_memo) == 1
