@@ -35,11 +35,17 @@ integration norm samples its base at ``D_t w`` for the stencil radii
 ``t = r + o h`` (``h`` proportional to ``r``); the pointwise closure
 (:func:`_orbit_fd_values`) shares the stencil.  Any other field is
 evaluated at the points ``D_r w``.  Both opaque routes call the field in
-cache-sized blocks of radii (:func:`_on_orbits`).  Derivative stacks
-(:func:`_profile_stack`) and opaque samples (:func:`_samples`) are kept
-for a fixed number of memoized node sets, so the norms, derivative orders
-and reports of one field share one evaluation; a truncation cutoff's
-stack is shared across fields (:func:`~hgineq.profiles.annulus_cutoff`).
+cache-sized blocks of radii (:func:`_on_orbits`), and the integrand is
+formed one block of radii at a time (:func:`_grid_blocks`) into one real
+``(R, S)`` array.  Besides that array and the kept samples, a pass holds
+the values of one block per part: at most ``_BLOCK`` points, counting each
+point of an orbit-FD stencil (one row of radii where a row is larger).
+Every sum keeps its order, so the blocks do not change the result.
+Derivative stacks (:func:`_profile_stack`) and opaque samples
+(:func:`_samples`) are kept for a fixed number of memoized node sets, so
+the norms, derivative orders and reports of one field share one
+evaluation; a truncation cutoff's stack is shared across fields
+(:func:`~hgineq.profiles.annulus_cutoff`).
 The weighted norms of quasi-radial and product fields in their own norm
 are kept as well, for the last two root profiles (:func:`weighted_lp_norm`):
 a field's check grid integrates each distinct norm once.  A field is in its
@@ -67,6 +73,7 @@ from .errors import (
 from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
 from .profiles import _keep, annulus_cutoff
 from .quadrature import (
+    _BLOCK,
     DEFAULT_CONFIG,
     integrate_box,
     integrate_mc,
@@ -371,8 +378,25 @@ _SAMPLE_ENTRIES = 4
 _SAMPLES = {}  # ids -> (values callable, radial nodes, sphere nodes, read-only samples)
 
 
-#: points per call of an opaque field's values: a block's temporaries stay in L2
-_BLOCK = 1 << 14
+def _row_blocks(count, width):
+    """Slices of ``count`` rows of ``width`` points each, at most ``_BLOCK``
+    points (or one row) per slice."""
+    step = max(1, _BLOCK // width)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _put(out, shape, i, block):
+    """``block`` written to rows ``i:`` of ``out``, an array of ``shape``
+    made at the first block and widened to the result type of every block
+    so far, the type ``np.concatenate`` gives its result."""
+    dtype = block.dtype if out is None else np.result_type(out, block)
+    if out is None or dtype != out.dtype:
+        wider = np.empty(shape, dtype)
+        if out is not None:
+            wider[:i] = out[:i]
+        out = wider
+    out[i:i + len(block)] = block
+    return out
 
 
 def _on_orbits(group, f, t, nodes):
@@ -381,18 +405,19 @@ def _on_orbits(group, f, t, nodes):
     of whole rows of radii, at most ``_BLOCK`` points (or one row) each, and
     a block's points are built from its own radii: no array holds them all.
     A block is filled one coordinate at a time, ``t^(w_j)`` of each row
-    times node column ``j``, so each multiply runs along a whole column."""
-    rows = t.reshape(-1, 1)
+    times node column ``j``, so each multiply runs along a whole column.
+    Each block's values are written to one output array."""
+    radii = t.reshape(-1, 1)
     columns = np.ascontiguousarray(nodes.T)
-    step = max(1, _BLOCK // len(nodes))
-    blocks = []
-    for i in range(0, len(rows), step):
-        tw = rows[i:i + step] ** group.weight_array()
+    out = None
+    for rows in _row_blocks(len(radii), len(nodes)):
+        tw = radii[rows] ** group.weight_array()
         pts = np.empty((len(tw), len(nodes), group.dim))
         for j, column in enumerate(columns):
             np.multiply(tw[:, j, None], column, out=pts[:, :, j])
-        blocks.append(f.values(pts.reshape(-1, group.dim)))
-    return np.concatenate(blocks, axis=None).reshape(t.shape + (len(nodes),))
+        vals = np.asarray(f.values(pts.reshape(-1, group.dim)))
+        out = _put(out, (len(radii), len(nodes)), rows.start, vals.reshape(len(tw), len(nodes)))
+    return out.reshape(t.shape + (len(nodes),))
 
 
 def _samples(group, f, r, nodes):
@@ -407,23 +432,59 @@ def _samples(group, f, r, nodes):
     return _keep(_SAMPLES, _SAMPLE_ENTRIES, ids, entry)[-1]
 
 
-def _grid_values(group, norm, f, r, nodes):
-    """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n): (R, S).
+def _radius_blocks(fields, r, nodes):
+    """Slices of the radii ``r`` for a grid of ``fields`` on ``nodes``: at
+    most ``_BLOCK`` points per block (or one row), where a field made by
+    orbit finite differences counts each point of its stencil."""
+    stencil = max(len(_ORBIT_FD_STENCILS[f.orbit_fd[1]][0]) if f.orbit_fd else 1
+                  for f in fields)
+    return _row_blocks(len(r), stencil * len(nodes))
+
+
+def _grid_blocks(group, norm, f, r, nodes, blocks):
+    """``f(D_r w)`` at radii ``r`` (R,) and sphere nodes ``w`` (S, n), one
+    ``(rows, S)`` array for each slice of radii in ``blocks``, in turn.
 
     A product field is a matrix product of its orbit profiles and sphere
-    monomials.  A field made by orbit finite differences along the orbits
-    of ``norm`` samples its base at the stencil radii around ``r`` on the
-    same sphere nodes.  Any other field is evaluated at the points.
+    monomials, one block of profile rows at a time.  A field made by orbit
+    finite differences along the orbits of ``norm`` samples its base at the
+    stencil radii around each block of radii, on the same sphere nodes.
+    Any other field is evaluated at the points once per grid
+    (:func:`_samples`), and its blocks are views of those values.
     """
     if f.structure == "product" and _compatible(f.norm, norm):
         mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
         degs = f.poly.weighted_degrees(group.weights)
         stack = _profile_stack(f.profile, r, f.order)
-        return orbit_profiles(f.profile, degs, f.order, r, stack) @ mono.T
+        profiles = orbit_profiles(f.profile, degs, f.order, r, stack)
+        return (profiles[s] @ mono.T for s in blocks)
     if f.orbit_fd is not None and _compatible(f.orbit_fd[2], norm):
         base, k, _ = f.orbit_fd
-        return _orbit_fd(k, r, lambda t: _on_orbits(group, base, t, nodes))
-    return _samples(group, f, r, nodes)
+        return (_orbit_fd(k, r[s], lambda t: _on_orbits(group, base, t, nodes)) for s in blocks)
+    samples = _samples(group, f, r, nodes)
+    return (samples[s] for s in blocks)
+
+
+def _grid_values(group, norm, f, r, nodes):
+    """The blocks of :func:`_grid_blocks` in one ``(R, S)`` array."""
+    blocks = _radius_blocks([f], r, nodes)
+    out = None
+    for rows, vals in zip(blocks, _grid_blocks(group, norm, f, r, nodes, blocks)):
+        out = _put(out, (len(r), len(nodes)), rows.start, vals)
+    return out
+
+
+def _combine(parts, values, column, a0, p):
+    """``|sum_i c_i column^(a0 - a_i) v_i|^p`` for ``parts = [(c_i, g_i,
+    a_i), ...]`` and the values ``v_i`` of the ``g_i``."""
+    acc = None
+    for (c, _, a), vals in zip(parts, values):
+        if a != a0:
+            vals = column ** (a0 - a) * vals
+        if c != 1:
+            vals = c * vals
+        acc = vals if acc is None else acc + vals
+    return np.abs(acc) ** p
 
 
 def _polar_integral(group, norm, f, parts, p, config):
@@ -434,10 +495,12 @@ def _polar_integral(group, norm, f, parts, p, config):
 
     If every ``g_i`` is quasi-radial in ``norm``, the rule is one node of
     weight ``sigma`` and the values are profile stacks; otherwise it is
-    :func:`~hgineq.quadrature.sphere_rule`.  ``r^(-a_0)`` is folded into
-    ``r^(Q - 1 - a_0 p)``, which keeps a lone part finite on radii spread
-    over many decades.  The error is the difference against one pass at
-    half the orders, plus sigma's error times the value.
+    :func:`~hgineq.quadrature.sphere_rule`, and the integrand is formed one
+    block of radii at a time (:func:`_grid_blocks`) into one real ``(R, S)``
+    array.  ``r^(-a_0)`` is folded into ``r^(Q - 1 - a_0 p)``, which keeps a
+    lone part finite on radii spread over many decades.  The error is the
+    difference against one pass at half the orders, plus sigma's error
+    times the value.
     """
     _own_group(group, norm)
     if f.support is None:
@@ -457,24 +520,23 @@ def _polar_integral(group, norm, f, parts, p, config):
     def one_pass(order, sphere_order):
         r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
         if one_node:
-            column = r
-        else:
-            nodes, sigma = sphere_rule(norm, sphere_order)
-            column = r[:, None]
-        acc = None
-        for c, g, a in parts:
-            if one_node:
+            # inline: on this route the integrand's Python overhead is a
+            # visible share of a report
+            acc = None
+            for c, g, a in parts:
                 vals = _profile_stack(g.profile, r, 0)[0]
-            else:
-                vals = _grid_values(group, norm, g, r, nodes)
-            if a != a0:
-                vals = column ** (a0 - a) * vals
-            if c != 1:
-                vals = c * vals
-            acc = vals if acc is None else acc + vals
-        acc = np.abs(acc) ** p
-        if one_node:
-            return float(np.dot(wr, acc * r**expo))
+                if a != a0:
+                    vals = r ** (a0 - a) * vals
+                if c != 1:
+                    vals = c * vals
+                acc = vals if acc is None else acc + vals
+            return float(np.dot(wr, np.abs(acc) ** p * r**expo))
+        nodes, sigma = sphere_rule(norm, sphere_order)
+        blocks = _radius_blocks([g for _, g, _ in parts], r, nodes)
+        grids = [_grid_blocks(group, norm, g, r, nodes, blocks) for _, g, _ in parts]
+        acc = np.empty((len(r), len(nodes)))
+        for rows, values in zip(blocks, zip(*grids)):
+            acc[rows] = _combine(parts, values, r[rows, None], a0, p)
         return float((wr * r**expo) @ acc @ sigma)
 
     sphere_order = config.sphere_order

@@ -19,12 +19,17 @@ quasi-norm with cone-measure weights, so that with the radial panels
 becomes a sum over a grid of radii times sphere nodes.  Its order is tied
 to the radial order (:attr:`QuadratureConfig.sphere_order`).
 
-Box integrals use tensor-product Gauss-Legendre with chunked evaluation so
-the node set never materializes at once; they compute the sphere measure
-(``box_points``) and serve as an independent oracle in the tests.  An
-integrand even in each coordinate is evaluated on one orthant of the rule
-(``integrate_box(..., even=True)``).  Monte Carlo is available for higher
-dimensions.
+Box integrals use tensor-product Gauss-Legendre; they compute the sphere
+measure (``box_points``) and serve as an independent oracle in the tests.
+An integrand even in each coordinate is evaluated on one orthant of the
+rule (``integrate_box(..., even=True)``).  Monte Carlo is available for
+higher dimensions.  Both sum their values per chunk of ``_EVAL_CHUNK``
+points, which fixes the rounding, and evaluate the integrand per block of
+at most ``_BLOCK`` points (or one lead row of the box rule, where a row is
+larger), written into the chunk's values: no node set, chunk of points or
+its temporaries materializes at once.  The integrand gets each block as a
+read-only array that is rewritten for the next block, so it must neither
+keep nor write it.
 
 Every ``integrate_*`` routine returns ``(value, error)`` where ``error``
 is an a-posteriori estimate obtained by re-integrating at roughly half the
@@ -48,7 +53,11 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameterError
 
-_EVAL_CHUNK = 200_000  # max points per integrand call in box quadrature
+#: points per summation of a box or Monte Carlo chunk; its size fixes the rounding
+_EVAL_CHUNK = 200_000
+
+#: points per integrand call: a block and its temporaries stay in L2
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -303,8 +312,10 @@ def _box_pass(fn, bounds, points, even):
         half = 0.5 * (bounds[i, 1] - bounds[i, 0])
         mid = 0.5 * (bounds[i, 1] + bounds[i, 0])
         axes.append((mid + half * xg, half * wg))
-    # chunk over the leading axis so points**n coordinates never
-    # materialize at once
+    # a chunk of lead rows is one summation ``lead_w @ vals @ wtail``, which
+    # fixes the rounding; a block of lead rows is one call of ``fn``, which
+    # bounds the memory: the points come from one template whose trailing
+    # coordinates are written once, and each block rewrites the lead one
     lead_nodes, lead_w = axes[0]
     rest = axes[1:]
     if rest:
@@ -317,15 +328,22 @@ def _box_pass(fn, bounds, points, even):
     else:
         tail = np.zeros((1, 0))
         wtail = np.ones(1)
-    block = max(1, _EVAL_CHUNK // max(1, tail.shape[0]))
+    width = len(tail)
+    chunk = max(1, _EVAL_CHUNK // width)
+    rows = max(1, _BLOCK // width)
+    template = np.empty((min(rows, len(lead_nodes)), width, n))
+    template[..., 1:] = tail
+    points = template.view()
+    points.flags.writeable = False
+    vals = np.empty((min(chunk, len(lead_nodes)), width))
     total = 0.0
-    for start in range(0, len(lead_nodes), block):
-        sel = slice(start, start + block)
-        pts = np.empty((len(lead_nodes[sel]), tail.shape[0], n))
-        pts[..., 0] = lead_nodes[sel, None]
-        pts[..., 1:] = tail[None, :, :]
-        vals = fn(pts.reshape(-1, n)).reshape(len(lead_nodes[sel]), -1)
-        total += float(lead_w[sel] @ vals @ wtail)
+    for start in range(0, len(lead_nodes), chunk):
+        lead = lead_nodes[start:start + chunk]
+        for i in range(0, len(lead), rows):
+            m = len(lead[i:i + rows])
+            template[:m, :, 0] = lead[i:i + m, None]
+            vals[i:i + m] = fn(points[:m].reshape(-1, n)).reshape(m, width)
+        total += float(lead_w[start:start + chunk] @ vals[:len(lead)] @ wtail)
     return total
 
 
@@ -342,6 +360,12 @@ def integrate_box(fn, bounds, config=DEFAULT_CONFIG, even=False):
     once, so ``fn`` sees about ``2**-n`` of the points and the result
     differs from the unfolded rule only in summation order.  The box must
     be symmetric about the origin.
+
+    ``fn`` maps read-only points ``(k, n)`` to ``k`` real values and is
+    called on blocks of at most ``_BLOCK`` points (or one row of the lead
+    axis); it must not keep or write them.  The blocks fill chunks of
+    ``_EVAL_CHUNK`` points, each summed as one product with the weights,
+    so the result does not depend on the block size.
     """
     b = _box_bounds(bounds)
     if even and np.any(b[:, 0] != -b[:, 1]):
@@ -354,20 +378,29 @@ def integrate_box(fn, bounds, config=DEFAULT_CONFIG, even=False):
 
 def integrate_mc(fn, bounds, samples, seed=0):
     """Plain Monte Carlo over a box with ``samples`` points; error is three
-    standard errors."""
+    standard errors.
+
+    The points are drawn and ``fn`` is called in read-only blocks of at
+    most ``_BLOCK`` rows (``fn`` must not keep or write them); consecutive
+    draws are the rows of one draw, and the values are summed per chunk of
+    ``_EVAL_CHUNK`` points, so the result does not depend on the block
+    size."""
     b = _box_bounds(bounds)
     vol = float(np.prod(b[:, 1] - b[:, 0]))
     rng = np.random.default_rng(seed)
+    vals = np.empty(min(samples, _EVAL_CHUNK))
     total = 0.0
     total_sq = 0.0
     remaining = samples
     while remaining > 0:
-        m = min(remaining, _EVAL_CHUNK)
-        pts = rng.uniform(b[:, 0], b[:, 1], size=(m, b.shape[0]))
-        v = np.asarray(fn(pts), dtype=float)
+        v = vals[:min(remaining, _EVAL_CHUNK)]
+        for i in range(0, len(v), _BLOCK):
+            pts = rng.uniform(b[:, 0], b[:, 1], size=(len(v[i:i + _BLOCK]), b.shape[0]))
+            pts.flags.writeable = False
+            v[i:i + len(pts)] = fn(pts)
         total += float(v.sum())
         total_sq += float((v * v).sum())
-        remaining -= m
+        remaining -= len(v)
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return vol * mean, 3.0 * vol * math.sqrt(var / samples)

@@ -36,6 +36,14 @@ from hgineq import (
     weighted_lp_norm,
 )
 from hgineq.calculus import _BLOCK, _SAMPLE_ENTRIES, _SAMPLES, _grid_values, _on_orbits
+from hgineq.calculus import (
+    _ORBIT_FD_STENCILS,
+    _compatible,
+    _orbit_fd,
+    _polar_integral,
+    _radial_range,
+    _samples,
+)
 from hgineq.fields import orbit_profiles
 from hgineq.norms import NORM_KINDS
 from hgineq.quadrature import polar_radial_nodes, sphere_rule
@@ -365,6 +373,109 @@ def test_orbit_points_match_the_broadcast_oracle(name, config):
     got = _on_orbits(group, opaque, t, nodes)
     assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", sorted(_ORBIT_FD_STENCILS))
+@pytest.mark.parametrize("name", GROUPS)
+def test_blocked_orbit_fd_grid_keeps_the_bits_of_one_stencil(name, k, config):
+    group = parse_group(name)
+    norm = default_norm(group)
+    base = _opaque(group, norm)
+    fk = nth_radial_derivative(group, norm, base, k, mode="orbit_fd")
+    r, _ = polar_radial_nodes(0.2, 5.0, config.radial_order, config.radial_panels)
+    nodes, _ = sphere_rule(norm, config.sphere_order)
+    whole = _orbit_fd(k, r, lambda t: _on_orbits(group, base, t, nodes))
+    blocked = _grid_values(group, norm, fk, r, nodes)
+    assert blocked.dtype == whole.dtype and blocked.shape == whole.shape
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_values_that_turn_complex_in_a_later_block_keep_their_imaginary_part(r3, config):
+    group, norm = r3
+    calls = []
+
+    def values(x):
+        calls.append(len(x))
+        v = np.exp(-norm(x))
+        return v if len(calls) == 1 else v * (1.0 + 0.5j)
+
+    f = generic_field(values, (0.1, 6.0), norm=norm)
+    r, _ = polar_radial_nodes(0.2, 5.0, config.radial_order, config.radial_panels)
+    nodes, _ = sphere_rule(norm, config.sphere_order)
+    got = _on_orbits(group, f, r, nodes)
+    first = calls[0] // len(nodes)
+    calls.clear()
+    want = _ref_on_orbits(group, f, r, nodes)
+    assert len(calls) > 2
+    assert got.dtype == want.dtype == complex and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[:first].imag == 0) and np.all(got[first:].imag > 0)
+
+
+def _ref_grid_values(group, norm, f, r, nodes):
+    """Grid values as one whole array per field: the product's full matrix
+    product, one stencil over all radii, or the opaque samples."""
+    if f.structure == "product" and _compatible(f.norm, norm):
+        mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
+        degs = f.poly.weighted_degrees(group.weights)
+        return orbit_profiles(f.profile, degs, f.order, r) @ mono.T
+    if f.orbit_fd is not None and _compatible(f.orbit_fd[2], norm):
+        base, k, _ = f.orbit_fd
+        return _orbit_fd(k, r, lambda t: _on_orbits(group, base, t, nodes))
+    return _samples(group, f, r, nodes)
+
+
+def _ref_polar_integral(group, norm, f, parts, p, config):
+    """``_polar_integral`` off the one-node route, each part's values and
+    the integrand formed as whole ``(R, S)`` arrays: the oracle for the
+    integrand formed one block of radii at a time."""
+    r_lo, r_hi = _radial_range(f, norm)
+    a0 = parts[0][2]
+    expo = group.homogeneous_dimension - 1.0 - a0 * p
+
+    def one_pass(order, sphere_order):
+        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
+        nodes, sigma = sphere_rule(norm, sphere_order)
+        column = r[:, None]
+        acc = None
+        for c, g, a in parts:
+            vals = _ref_grid_values(group, norm, g, r, nodes)
+            if a != a0:
+                vals = column ** (a0 - a) * vals
+            if c != 1:
+                vals = c * vals
+            acc = vals if acc is None else acc + vals
+        acc = np.abs(acc) ** p
+        return float((wr * r**expo) @ acc @ sigma)
+
+    sphere_order = config.sphere_order
+    full = one_pass(config.radial_order, sphere_order)
+    coarse = one_pass(max(2, config.radial_order // 2), max(2, sphere_order // 2))
+    err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
+    return max(full, 0.0), err
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_blocked_integrand_keeps_the_bits_of_whole_arrays(name, config):
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = _product_fields(name, count=1)[2][0]
+    opaque = _opaque(group, norm)
+    fd = [nth_radial_derivative(group, norm, opaque, k, mode="orbit_fd") for k in (1, 2)]
+    rf = [nth_radial_derivative(group, norm, f, k) for k in (1, 2)]
+    cases = [
+        ([(1.0, f, 0.5)], 2.0),
+        ([(1.0, rf[1], 0.0)], 1.5),
+        ([(1.0, opaque, 0.25)], 3.0),
+        ([(1.0, fd[0], 0.0)], 2.0),
+        ([(1.0, fd[1], -0.5)], 2.0),
+        # the L^2 identity's combinations: parts of other weights and coefficients
+        ([(1.0, rf[1], 0.0), (-2.0 + 0.5j, rf[0], 1.0), (0.75, f, 2.0)], 2.0),
+        ([(1.0, fd[1], 0.0), (-2.0, fd[0], 1.0), (0.5j, opaque, 2.0)], 2.0),
+    ]
+    for parts, p in cases:
+        got = _polar_integral(group, norm, opaque, parts, p, config)
+        assert got == _ref_polar_integral(group, norm, opaque, parts, p, config), (parts, p)
 
 
 def test_opaque_report_peak_allocation_stays_small(r3):

@@ -40,6 +40,8 @@ COMMANDS = [
     " --alpha=-1,0.5",
     "constants --group heis1 --p 2 --alpha 0.5 --beta 1 --theta 2 --k 2 --m 1",
     "verify --group r:3 --check ckn --count 1 --alpha nan",
+    *[f"sphere-measure --group {g} --norm max" for g in ("r:3", "heis1", "aniso:1,2", "aniso:1,1,2")],
+    "sphere-measure --group r:5",
 ]
 
 
