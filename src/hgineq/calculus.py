@@ -48,7 +48,9 @@ evaluation; a truncation cutoff's stack is shared across fields
 (:func:`~hgineq.profiles.annulus_cutoff`).
 The weighted norms of quasi-radial and product fields in their own norm
 are kept as well, for the last two root profiles (:func:`weighted_lp_norm`):
-a field's check grid integrates each distinct norm once.  A field is in its
+a field's check grid integrates each distinct norm once.  So is ``R^k f`` of
+a quasi-radial field in its own norm, for the last eight (field, k) pairs
+matched by the field's identity (:func:`nth_radial_derivative`).  A field is in its
 own norm when its norm equals the integration norm as a value: the same
 kind on an equal group, id and weights.  The sigma memo compares the same
 values.  A norm is integrated only on a group with its own group's weights
@@ -62,6 +64,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .constants import validate_finite
 from .errors import (
     IncompatibleNormError,
     InvalidParameterError,
@@ -169,6 +172,11 @@ def _gradient_contraction_values(group, norm, f):
     return _single_point_aware(values)
 
 
+#: derived fields kept: the few orders a report grid takes of the last few fields
+_DERIVED_ENTRIES = 8
+_DERIVED = {}  # (id(f), k) -> (f, R^k f)
+
+
 def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
     """The field ``R^k f`` with respect to ``norm``.
 
@@ -180,16 +188,17 @@ def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
     """
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise InvalidParameterError("derivative order must be a nonnegative int")
     if k == 0:
         return f
     tag = f"R^{k}[{f.field_id}]"
     if mode != "orbit_fd":
         if f.is_quasi_radial and _compatible(f.norm, norm):
-            return radial_field(
-                f.profile.derivative(k), f.norm, support=f.support, field_id=tag
-            )
+            ids = (id(f), k)
+            entry = _DERIVED.pop(ids, None) or (f, radial_field(
+                f.profile.derivative(k), f.norm, support=f.support, field_id=tag))
+            return _keep(_DERIVED, _DERIVED_ENTRIES, ids, entry)[1]
         if f.structure == "product" and _compatible(f.norm, norm):
             return product_field(f.profile, f.poly, f.norm, support=f.support, field_id=tag,
                                  order=f.order + k)
@@ -487,6 +496,32 @@ def _combine(parts, values, column, a0, p):
     return np.abs(acc) ** p
 
 
+def _one_node_pass(parts, nodes, a0, p, expo):
+    """A pass of the one-node route on radial ``nodes``, its parts' stacks combined inline."""
+    r, wr = nodes
+    acc = None
+    for c, g, a in parts:
+        vals = _profile_stack(g.profile, r, 0)[0]
+        if a != a0:
+            vals = r ** (a0 - a) * vals
+        if c != 1:
+            vals = c * vals
+        acc = vals if acc is None else acc + vals
+    return float(np.dot(wr, np.abs(acc) ** p * r**expo))
+
+
+def _sphere_pass(group, norm, parts, nodes, a0, p, expo, sphere_order):
+    """A pass on radial ``nodes`` times the sphere rule of ``sphere_order``."""
+    r, wr = nodes
+    sphere, sigma = sphere_rule(norm, sphere_order)
+    blocks = _radius_blocks([g for _, g, _ in parts], r, sphere)
+    grids = [_grid_blocks(group, norm, g, r, sphere, blocks) for _, g, _ in parts]
+    acc = np.empty((len(r), len(sphere)))
+    for rows, values in zip(blocks, zip(*grids)):
+        acc[rows] = _combine(parts, values, r[rows, None], a0, p)
+    return float((wr * r**expo) @ acc @ sigma)
+
+
 def _polar_integral(group, norm, f, parts, p, config):
     """``int |sum_i c_i g_i N^(-a_i)|^p dx`` over the support of ``f`` for
     ``parts = [(c_i, g_i, a_i), ...]`` (fields derived from ``f``), on
@@ -510,38 +545,21 @@ def _polar_integral(group, norm, f, parts, p, config):
     r_lo, r_hi = _radial_range(f, norm)
     a0 = parts[0][2]
     expo = group.homogeneous_dimension - 1.0 - a0 * p
-    one_node = all([g.is_quasi_radial and _compatible(g.norm, norm) for _, g, _ in parts])
-    if one_node:
-        sm = sphere_measure(group, norm)
-        scale, scale_err = sm.value, sm.error
+    order, panels = config.radial_order, config.radial_panels
+    full_r = polar_radial_nodes(r_lo, r_hi, order, panels)
+    coarse_r = polar_radial_nodes(r_lo, r_hi, max(2, order // 2), panels)
+    for _, g, _ in parts:
+        if not (g.is_quasi_radial and _compatible(g.norm, norm)):
+            s = config.sphere_order
+            full = _sphere_pass(group, norm, parts, full_r, a0, p, expo, s)
+            coarse = _sphere_pass(group, norm, parts, coarse_r, a0, p, expo, max(2, s // 2))
+            scale, scale_err = 1.0, 0.0
+            break
     else:
-        scale, scale_err = 1.0, 0.0
-
-    def one_pass(order, sphere_order):
-        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
-        if one_node:
-            # inline: on this route the integrand's Python overhead is a
-            # visible share of a report
-            acc = None
-            for c, g, a in parts:
-                vals = _profile_stack(g.profile, r, 0)[0]
-                if a != a0:
-                    vals = r ** (a0 - a) * vals
-                if c != 1:
-                    vals = c * vals
-                acc = vals if acc is None else acc + vals
-            return float(np.dot(wr, np.abs(acc) ** p * r**expo))
-        nodes, sigma = sphere_rule(norm, sphere_order)
-        blocks = _radius_blocks([g for _, g, _ in parts], r, nodes)
-        grids = [_grid_blocks(group, norm, g, r, nodes, blocks) for _, g, _ in parts]
-        acc = np.empty((len(r), len(nodes)))
-        for rows, values in zip(blocks, zip(*grids)):
-            acc[rows] = _combine(parts, values, r[rows, None], a0, p)
-        return float((wr * r**expo) @ acc @ sigma)
-
-    sphere_order = config.sphere_order
-    full = one_pass(config.radial_order, sphere_order)
-    coarse = one_pass(max(2, config.radial_order // 2), max(2, sphere_order // 2))
+        sm = sphere_measure(group, norm)
+        full = _one_node_pass(parts, full_r, a0, p, expo)
+        coarse = _one_node_pass(parts, coarse_r, a0, p, expo)
+        scale, scale_err = sm.value, sm.error
     err = abs(full - coarse) + _ROUNDING * abs(full)
     full = max(full, 0.0)
     return scale * full, scale * err + scale_err * full
@@ -572,6 +590,8 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
         hit = memo.get(key)
         if hit is not None:
             return hit
+    # after the lookup: the memo never holds a refused weight or p
+    validate_finite(weight=weight, p=p)
     total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p, config)
     value = total ** (1.0 / p)
     error = value * (total_err / total) / p if value > 0 else total_err ** (1.0 / p)
@@ -592,6 +612,8 @@ def weighted_combo_l2(group, norm, f, terms, config=None, mode="auto", fields=No
     parts = [(complex(c), fields[k] if k in fields else
               nth_radial_derivative(group, norm, f, int(k), mode=mode), float(a))
              for c, k, a in terms]
+    for c, _, a in parts:
+        validate_finite(coefficient=c.real, imaginary_coefficient=c.imag, weight=a)
     if not parts:
         raise InvalidParameterError("need at least one term")
     total, total_err = _polar_integral(group, norm, f, parts, 2.0, config or DEFAULT_CONFIG)

@@ -53,6 +53,13 @@ class GroupSpec:
             raise UnsupportedGroupError("a group needs at least one dilation weight")
         if not all(0 < w < math.inf for w in self.weights):
             raise UnsupportedGroupError("dilation weights must be positive and finite")
+        object.__setattr__(self, "_hash", hash((self.name, self.weights)))
+
+    def __hash__(self):  # computed once: memo keys hash a group on every report
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy hashes in its own process
+        return GroupSpec, (self.name, self.weights)
 
     @property
     def dim(self):

@@ -56,6 +56,13 @@ class QuasiNormSpec:
     def __post_init__(self):
         if self.kind not in NORM_KINDS:
             raise IncompatibleNormError(f"unknown norm kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.group)))
+
+    def __hash__(self):  # computed once: memo keys hash a norm on every report
+        return self._hash
+
+    def __reduce__(self):  # rebuilt, so a copy hashes in its own process
+        return QuasiNormSpec, (self.kind, self.group)
 
     @property
     def smooth(self):

@@ -8,11 +8,15 @@ and its radial derivatives.  :func:`evaluate` fills in an
 turns the norms' quadrature error estimates into the margin: twice the
 propagated error plus a floating-point cushion, so ``satisfied`` means
 "holds within the numerics", never "holds by fiat".  The ``*_report``
-functions are thin wrappers that name a row.
+functions are thin wrappers that name a row.  A row's sides at a point are
+worked out once per ``(row, Q, params)`` for the last 256 points
+(:func:`_plan`) and shared by the reports of every field, each of which
+gets its own ``params`` and ``detail``.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -104,13 +108,14 @@ class Combo(NamedTuple):
     terms: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sides:
     """A check at one parameter point.
 
     ``lhs`` and ``rhs`` are lists of terms ``(coefficient, factors)``, each
     factor ``(Norm or Combo, exponent, detail key or None)``; a side's
-    value is ``sum coefficient * prod value**exponent``.
+    value is ``sum coefficient * prod value**exponent``.  Reports share it
+    and copy ``detail``, whose values are therefore immutable.
     """
 
     constant: float
@@ -209,7 +214,7 @@ def _l2_identity(q, p, alpha, k):
         partial[k] ** 2,
         lhs=[(1.0, [(Norm(k, alpha, 2.0), 2.0, None)])],
         rhs=[(partial[k] ** 2, [(Norm(0, k + alpha, 2.0), 2.0, "base_norm")])] + remainders,
-        detail={"partial_products": partial},
+        detail={"partial_products": tuple(partial)},
     )
 
 
@@ -305,6 +310,23 @@ def _side(terms):
     return value, error
 
 
+#: points kept: a corpus field's grid (41 points) on three groups, twice over
+_PLAN_ENTRIES = 256
+
+
+@functools.lru_cache(maxsize=_PLAN_ENTRIES, typed=True)
+def _plan(check_id, q, **params):
+    """Row ``check_id``'s :class:`Sides` at ``Q = q`` and ``params``, the
+    derivative orders its norms and combos take (in table order), and its
+    highest-order norm; each param matched with its type."""
+    sides = CHECKS[check_id].sides(q, **params)
+    specs = [spec for _, facs in sides.lhs + sides.rhs for spec, _, _ in facs]
+    orders = dict.fromkeys(k for spec in specs for k in (
+        [spec.k] if isinstance(spec, Norm) else [k for _, k, _ in spec.terms]))
+    top = max((spec for spec in specs if isinstance(spec, Norm)), key=lambda spec: spec.k)
+    return sides, tuple(orders), top
+
+
 def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
     """Report for table row ``check_id`` at the parameter ``point`` (a dict
     holding at least the row's axes; other keys are ignored)."""
@@ -313,7 +335,7 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
         validate_p(point["p"])
     validate_finite(**{a: point[a] for a in row.axes if a != "p" and a not in row.orders})
     for name, least in row.orders.items():
-        if not isinstance(point[name], numbers.Integral):
+        if not isinstance(point[name], numbers.Integral) or isinstance(point[name], bool):
             raise InvalidParameterError(f"{name} must be an integer")
         if point[name] < least:
             raise InvalidParameterError(f"{name} must be >= {least}")
@@ -322,17 +344,8 @@ def evaluate(check_id, group, norm, f, point, config=None, mode="auto"):
     else:
         params = row.params(point)
     config = config or DEFAULT_CONFIG
-    sides = row.sides(group.homogeneous_dimension, **params)
-
-    factors = [fac for _, facs in sides.lhs + sides.rhs for fac in facs]
-    fields = {}
-    top = None
-    for spec, _, _ in factors:
-        for k in [spec.k] if isinstance(spec, Norm) else [k for _, k, _ in spec.terms]:
-            if k not in fields:
-                fields[k] = nth_radial_derivative(group, norm, f, k, mode=mode)
-        if isinstance(spec, Norm) and (top is None or spec.k > top.k):
-            top = spec
+    sides, orders, top = _plan(row.id, group.homogeneous_dimension, **params)
+    fields = {k: nth_radial_derivative(group, norm, f, k, mode=mode) for k in orders}
     # the highest-order norm is measured first: the derivative stack a
     # quasi-radial field builds for it on a node set serves every lower
     # order, so no stack is built twice; the rest follow in table order

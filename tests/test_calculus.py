@@ -46,9 +46,9 @@ from hgineq.reports import evaluate
 from conftest import catalog_pairs
 
 
-def _bump(norm, lo=0.2, hi=5.0):
+def _bump(norm, lo=0.2, hi=5.0, field_id="bump"):
     prof = log_gaussian_profile(1.0, 0.0, 0.5) * annulus_cutoff(lo, 2 * lo, hi / 2, hi)
-    return radial_field(prof, norm, support=(lo, hi), field_id="bump")
+    return radial_field(prof, norm, support=(lo, hi), field_id=field_id)
 
 
 # -- radial derivative --------------------------------------------------------
@@ -160,6 +160,73 @@ def test_order_validation(r3):
     assert nth_radial_derivative(group, norm, f, 0) is f
 
 
+@pytest.mark.parametrize("order", [True, False])
+def test_a_bool_order_is_refused(r3, order):
+    group, norm = r3
+    with pytest.raises(InvalidParameterError):
+        nth_radial_derivative(group, norm, _bump(norm), order)
+
+
+# -- derived-field memo ---------------------------------------------------------
+
+
+def test_a_repeated_order_returns_the_kept_field(r3):
+    group, norm = r3
+    f = _bump(norm)
+    fields = [nth_radial_derivative(group, norm, f, k) for k in (1, 2, 1, 2)]
+    assert fields[2] is fields[0] and fields[3] is fields[1]
+    assert [g.field_id for g in fields[:2]] == ["R^1[bump]", "R^2[bump]"]
+    assert fields[0].profile.root() == (f.profile.root()[0], 1)
+    assert fields[1].profile.root() == (f.profile.root()[0], 2)
+
+
+def test_the_memo_keeps_fields_apart(r3):
+    group, norm = r3
+    f, g = _bump(norm, field_id="f"), _bump(norm, 0.3, 4.0, field_id="g")
+    rf, rg = (nth_radial_derivative(group, norm, h, 1) for h in (f, g))
+    assert rg is not rf
+    assert (rg.field_id, rg.support) == ("R^1[g]", (0.3, 4.0))
+    assert weighted_lp_norm(group, norm, rg, 0.0, 2.0) != weighted_lp_norm(
+        group, norm, rf, 0.0, 2.0)
+
+
+def test_the_memo_serves_only_quasi_radial_fields_in_their_own_norm(r3):
+    group, norm = r3
+    f = _bump(norm)
+    kept = nth_radial_derivative(group, norm, f, 1)
+    entries = dict(calculus._DERIVED)
+    fd = nth_radial_derivative(group, norm, f, 1, mode="orbit_fd")
+    assert fd is not kept and fd.structure == "generic" and fd.orbit_fd == (f, 1, norm)
+    cube = make_norm(group, "max")
+    other = nth_radial_derivative(group, cube, f, 1)
+    assert other is not kept and other.structure == "generic"
+    prod = product_field(f.profile, PolyFactor(((1, 0, 0),), (1.0,)), norm)
+    rp = [nth_radial_derivative(group, norm, prod, 1) for _ in range(2)]
+    assert rp[0] is not rp[1] and rp[0].structure == "product"
+    assert calculus._DERIVED == entries
+
+
+def test_the_derived_field_memo_stays_bounded_and_rebuilds_the_same_field(r3):
+    group, norm = r3
+    f = _bump(norm)
+    first = nth_radial_derivative(group, norm, f, 2)
+    want = weighted_lp_norm(group, norm, first, 0.5, 2.0)
+    for i in range(3 * calculus._DERIVED_ENTRIES):
+        nth_radial_derivative(group, norm, _bump(norm, field_id=f"other{i}"), 1 + i % 3)
+        assert len(calculus._DERIVED) <= calculus._DERIVED_ENTRIES
+    again = nth_radial_derivative(group, norm, f, 2)
+    assert again is not first
+    assert (again.field_id, again.support, again.profile.root()) == (
+        first.field_id, first.support, first.profile.root())
+    calculus._NORMS.clear()
+    assert weighted_lp_norm(group, norm, again, 0.5, 2.0) == want
+    report = l2_identity_report(group, norm, f, 0.0, 2)
+    for i in range(3 * calculus._DERIVED_ENTRIES):
+        nth_radial_derivative(group, norm, _bump(norm, field_id=f"other{i}"), 1)
+    calculus._NORMS.clear()
+    assert render_json([l2_identity_report(group, norm, f, 0.0, 2)]) == render_json([report])
+
+
 # -- sphere measure -----------------------------------------------------------
 
 SIGMA_CASES = [
@@ -267,6 +334,32 @@ def test_weighted_norm_validation(r3, config):
     ok = radial_field(gaussian_profile(1.0), norm, support=(1e-6, 30.0))
     with pytest.raises(InvalidParameterError):
         weighted_lp_norm(group, norm, ok, 1.0, 0.5, config=config)
+    value, error = weighted_lp_norm(group, norm, ok, 1.0, 1.0, config=config)
+    assert value > 0.0 and math.isfinite(error)
+
+
+def _finite_case(case):
+    """A public norm call with one non-finite input: ``(function, args)``."""
+    group = parse_group("r:3")
+    norm = default_norm(group)
+    f = _bump(norm)
+    nan, inf = math.nan, math.inf
+    lp = {"p inf": (0.0, inf), "weight nan": (nan, 2.0), "weight inf": (inf, 2.0),
+          "weight -inf": (-inf, 1.5)}
+    combo = {"c nan": (nan, 1, 0.0), "c complex inf": (complex(1.0, inf), 1, 0.0),
+             "c complex nan": (complex(nan, 0.0), 0, 1.0), "a inf": (1.0, 1, inf),
+             "a nan": (1.0, 0, nan)}
+    if case in lp:
+        return weighted_lp_norm, (group, norm, f, *lp[case])
+    return weighted_combo_l2, (group, norm, f, [(1.0, 0, 1.0), combo[case]])
+
+
+@pytest.mark.parametrize("case", ["p inf", "weight nan", "weight inf", "weight -inf", "c nan",
+                                  "c complex inf", "c complex nan", "a inf", "a nan"])
+def test_public_norms_refuse_non_finite_inputs(case):
+    fn, args = _finite_case(case)
+    with pytest.raises(InvalidParameterError):
+        fn(*args)
 
 
 def test_weighted_norm_zero_field(r3, config):
@@ -635,6 +728,8 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
         for i in order:
             if clear:
                 calculus._NORMS.clear()
+                calculus._DERIVED.clear()
+                reports._plan.cache_clear()
                 _STACKS.clear()
                 profiles._CUTOFF_STACKS.clear()
             check, point = _GRID[i]
@@ -648,6 +743,8 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
 
 def _clear_every_cache():
     calculus._NORMS.clear()
+    calculus._DERIVED.clear()
+    reports._plan.cache_clear()
     calculus._SAMPLES.clear()
     _STACKS.clear()
     profiles._CUTOFF_STACKS.clear()

@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +79,24 @@ def test_a_norm_is_its_kind_and_group():
     assert a is not b and a == b and hash(a) == hash(b)
     assert make_norm(parse_group("aniso:1,1,2"), "koranyi") != a  # another group's name
     assert make_norm(parse_group("heis1"), "max") != make_norm(parse_group("aniso:1,1,2"), "max")
+
+
+def test_a_spec_hashes_its_value_in_every_process():
+    """Specs keep their hash; a pickled copy is rebuilt, so a process with
+    another string-hash seed hashes it by its own value."""
+    norm = make_norm(parse_group("aniso:1,2"), "max")
+    assert hash(norm) == hash((norm.kind, norm.group))
+    assert hash(norm.group) == hash((norm.group.name, norm.group.weights))
+    script = ("import pickle, sys; n = pickle.loads(sys.stdin.buffer.read()); "
+              "print(hash(n) == hash((n.kind, n.group)), "
+              "hash(n.group) == hash((n.group.name, n.group.weights)), "
+              "{n: 1}[QuasiNormSpec(n.kind, GroupSpec(n.group.name, n.group.weights))])")
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from hgineq import GroupSpec, QuasiNormSpec; " + script],
+            input=pickle.dumps(norm), capture_output=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.stdout.split() == [b"True", b"True", b"1"]
 
 
 def test_unknown_norm_kind_is_refused_by_name():

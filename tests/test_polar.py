@@ -455,6 +455,55 @@ def _ref_polar_integral(group, norm, f, parts, p, config):
     return max(full, 0.0), err
 
 
+def _ref_one_node_integral(group, norm, f, parts, p, config):
+    """``_polar_integral`` on the one-node route as one closure over both
+    passes, each part's values a fresh evaluation of its profile: the
+    oracle for the one-node helper."""
+    r_lo, r_hi = _radial_range(f, norm)
+    a0 = parts[0][2]
+    expo = group.homogeneous_dimension - 1.0 - a0 * p
+    sm = sphere_measure(group, norm)
+
+    def one_pass(order):
+        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
+        acc = None
+        for c, g, a in parts:
+            vals = g.profile.derivatives(r, 0)[0]
+            if a != a0:
+                vals = r ** (a0 - a) * vals
+            if c != 1:
+                vals = c * vals
+            acc = vals if acc is None else acc + vals
+        return float(np.dot(wr, np.abs(acc) ** p * r**expo))
+
+    full = one_pass(config.radial_order)
+    coarse = one_pass(max(2, config.radial_order // 2))
+    err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
+    full = max(full, 0.0)
+    return sm.value * full, sm.value * err + sm.error * full
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, QuadratureConfig(radial_order=64, radial_panels=12)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("name", GROUPS)
+def test_one_node_route_keeps_the_bits_of_one_closure(name, p, cfg):
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=7, radial_fraction=1.0))[0]
+    rf = [nth_radial_derivative(group, norm, f, k) for k in (1, 2)]
+    cases = [
+        [(1.0, f, 0.5)],
+        [(1.0, rf[0], 0.0)],
+        [(1.0, rf[1], -0.5)],
+        # the L^2 identity's combinations: parts of other weights and coefficients
+        [(1.0, rf[1], 0.0), (-2.0 + 0.5j, rf[0], 1.0), (0.75, f, 2.0)],
+        [(1.0 + 0.0j, rf[0], 0.25), (0.5j, f, 1.25)],
+    ]
+    for parts in cases:
+        got = _polar_integral(group, norm, f, parts, p, cfg)
+        assert got == _ref_one_node_integral(group, norm, f, parts, p, cfg), parts
+
+
 @pytest.mark.parametrize("name", GROUPS)
 def test_blocked_integrand_keeps_the_bits_of_whole_arrays(name, config):
     group = parse_group(name)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -172,6 +173,42 @@ def test_l2_identity_requires_order(r3, r3_gaussian, config):
         l2_identity_report(group, norm, r3_gaussian, k=0, config=config)
     with pytest.raises(InvalidParameterError):
         l2_identity_report(group, norm, r3_gaussian, k=1.0, config=config)
+
+
+@pytest.mark.parametrize("report,kwargs", [
+    (l2_identity_report, {"k": True}),
+    (l2_sharp_report, {"k": True}),
+    (higher_order_report, {"p": 2.0, "theta": 0.5, "k": True}),
+    (higher_order_pair_report, {"p": 2.0, "alpha": 0.5, "beta": 1.0, "m": False}),
+    (combined_report, {"alpha": 0.25, "beta": 0.5, "k": True}),
+])
+def test_a_bool_order_is_refused(r3, r3_gaussian, config, report, kwargs):
+    group, norm = r3
+    with pytest.raises(InvalidParameterError):
+        report(group, norm, r3_gaussian, config=config, **kwargs)
+
+
+@pytest.mark.parametrize("check,point", [
+    ("l2-identity", {"alpha": 0.0, "k": 2}),
+    ("pair", {"p": 2.0, "alpha": 0.25, "beta": 0.5, "k": 1, "m": 1}),
+    ("ckn", {"p": 1.5, "alpha": 0.0, "beta": 1.0}),
+])
+def test_a_reports_detail_and_params_are_its_own(heis, config, check, point):
+    """Reports at one point share their sides: writing into one report's
+    ``detail`` or ``params`` leaves the next one's unchanged."""
+    group, norm = heis
+    f = _bump(norm)
+    first = reports.evaluate(check, group, norm, f, point, config)
+    want = copy.deepcopy((first.detail, first.params))
+    for entries in (first.detail, first.params):
+        for value in entries.values():
+            if isinstance(value, list):
+                value.append("written")
+        entries["written"] = True
+    again = reports.evaluate(check, group, norm, f, point, config)
+    assert (again.detail, again.params) == want
+    other = reports.evaluate(check, group, norm, _bump(norm, 0.3, 4.0, "other"), point, config)
+    assert set(other.detail) == set(want[0]) and other.params == want[1]
 
 
 def test_l2_sharp_bound(r3, r3_gaussian, config):

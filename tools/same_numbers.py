@@ -42,6 +42,10 @@ COMMANDS = [
     "verify --group r:3 --check ckn --count 1 --alpha nan",
     *[f"sphere-measure --group {g} --norm max" for g in ("r:3", "heis1", "aniso:1,2", "aniso:1,1,2")],
     "sphere-measure --group r:5",
+    # every quasi-radial row the grids above leave out: up1p, hpw1, hpw2,
+    # l2-sharp and both combined rows on the one-node route
+    "verify --group heis1 --check uncertainty,l2-sharp,combined --count 3 --seed 4"
+    " --radial-fraction 1 --p 1.5,2 --alpha 0,0.5 --beta 1 --k 1,2",
 ]
 
 
