@@ -26,7 +26,11 @@ Weighted norms ``|| f / N^a ||_p`` and the combinations
 :func:`_polar_integral`: the polar decomposition
 ``dx = r^(Q-1) dr dsigma(w)`` summed over log-panel radii times a sphere
 rule.  An integrand made of quasi-radial fields is constant on the sphere,
-so its rule is one node of weight ``sigma``, the area of ``{N = 1}``.
+so its rule is one node of weight ``sigma``, the area of ``{N = 1}``, and
+the full and the coarse pass take one sweep (:func:`_one_node_pass`): the
+integrand is formed once on the paired radial node set of
+:func:`~hgineq.quadrature.polar_radial_pair` (the full set, then the
+coarse set), and each pass is a dot product over its set's slice.
 Every other integrand takes the nodes of
 :func:`~hgineq.quadrature.sphere_rule`.  There a product field is an
 ``(R x M) @ (M x S)`` product of its orbit profiles and sphere monomials,
@@ -44,7 +48,10 @@ Every sum keeps its order, so the blocks do not change the result.
 Derivative stacks (:func:`_profile_stack`) and opaque samples
 (:func:`_samples`) are kept for a fixed number of memoized node sets, so
 the norms, derivative orders and reports of one field share one
-evaluation; a truncation cutoff's stack is shared across fields
+evaluation: a stack on the paired set of each of the last two fields on
+the one-node route (a sphere pass takes one on each set of the pair), and
+the samples on the full and the coarse grid of the last two opaque
+fields.  A truncation cutoff's stack is shared across fields
 (:func:`~hgineq.profiles.annulus_cutoff`).
 The weighted norms of quasi-radial and product fields in their own norm
 are kept as well, for the last two root profiles (:func:`weighted_lp_norm`):
@@ -81,7 +88,7 @@ from .quadrature import (
     integrate_box,
     integrate_mc,
     integrate_radial,
-    polar_radial_nodes,
+    polar_radial_pair,
     sphere_rule,
 )
 
@@ -340,8 +347,9 @@ def sphere_measure(group, norm, config=None):
     return sm
 
 
-#: stacks kept: the full and the coarse node set of two fields
-_STACK_ENTRIES = 4
+#: stacks kept: the paired node set of two fields (a field's one-node passes
+#: share one stack on the pair; its sphere passes take one on each set)
+_STACK_ENTRIES = 2
 _STACKS = {}  # ids -> (root profile, node array, read-only stack)
 
 
@@ -496,9 +504,16 @@ def _combine(parts, values, column, a0, p):
     return np.abs(acc) ** p
 
 
-def _one_node_pass(parts, nodes, a0, p, expo):
-    """A pass of the one-node route on radial ``nodes``, its parts' stacks combined inline."""
-    r, wr = nodes
+def _one_node_pass(parts, sets, a0, p, expo):
+    """Both passes of the one-node route, ``(full, coarse)``, in one sweep.
+
+    ``sets`` is :func:`~hgineq.quadrature.polar_radial_pair`'s ``(pair,
+    full, coarse)``.  The parts' stacks are combined inline on the pair,
+    one stack per part's root, and the integrand is formed once; each
+    pass is a dot product over its set's slice.  Every step is elementwise
+    in ``r``, so each slice holds the values a pass on its set alone gives.
+    """
+    (r, wr), (full_r, _), _ = sets
     acc = None
     for c, g, a in parts:
         vals = _profile_stack(g.profile, r, 0)[0]
@@ -507,7 +522,9 @@ def _one_node_pass(parts, nodes, a0, p, expo):
         if c != 1:
             vals = c * vals
         acc = vals if acc is None else acc + vals
-    return float(np.dot(wr, np.abs(acc) ** p * r**expo))
+    vals = np.abs(acc) ** p * r**expo
+    split = len(full_r)
+    return float(np.dot(wr[:split], vals[:split])), float(np.dot(wr[split:], vals[split:]))
 
 
 def _sphere_pass(group, norm, parts, nodes, a0, p, expo, sphere_order):
@@ -528,13 +545,16 @@ def _polar_integral(group, norm, f, parts, p, config):
     radial nodes times a sphere rule; returns ``(value, error)``.  The
     support may touch the origin unless some ``a_i p > 0``.
 
+    The radial nodes are :func:`~hgineq.quadrature.polar_radial_pair`'s.
     If every ``g_i`` is quasi-radial in ``norm``, the rule is one node of
-    weight ``sigma`` and the values are profile stacks; otherwise it is
-    :func:`~hgineq.quadrature.sphere_rule`, and the integrand is formed one
-    block of radii at a time (:func:`_grid_blocks`) into one real ``(R, S)``
-    array.  ``r^(-a_0)`` is folded into ``r^(Q - 1 - a_0 p)``, which keeps a
-    lone part finite on radii spread over many decades.  The error is the
-    difference against one pass at half the orders, plus sigma's error
+    weight ``sigma`` and the values are profile stacks, and both passes
+    take one sweep over the paired nodes (:func:`_one_node_pass`);
+    otherwise it is :func:`~hgineq.quadrature.sphere_rule`, a pass per
+    radial set and sphere order, and the integrand is formed one block of
+    radii at a time (:func:`_grid_blocks`) into one real ``(R, S)`` array.
+    ``r^(-a_0)`` is folded into ``r^(Q - 1 - a_0 p)``, which keeps a lone
+    part finite on radii spread over many decades.  The error is the
+    difference against the pass at half the orders, plus sigma's error
     times the value.
     """
     _own_group(group, norm)
@@ -545,20 +565,17 @@ def _polar_integral(group, norm, f, parts, p, config):
     r_lo, r_hi = _radial_range(f, norm)
     a0 = parts[0][2]
     expo = group.homogeneous_dimension - 1.0 - a0 * p
-    order, panels = config.radial_order, config.radial_panels
-    full_r = polar_radial_nodes(r_lo, r_hi, order, panels)
-    coarse_r = polar_radial_nodes(r_lo, r_hi, max(2, order // 2), panels)
+    sets = polar_radial_pair(r_lo, r_hi, config.radial_order, config.radial_panels)
     for _, g, _ in parts:
         if not (g.is_quasi_radial and _compatible(g.norm, norm)):
             s = config.sphere_order
-            full = _sphere_pass(group, norm, parts, full_r, a0, p, expo, s)
-            coarse = _sphere_pass(group, norm, parts, coarse_r, a0, p, expo, max(2, s // 2))
+            full = _sphere_pass(group, norm, parts, sets[1], a0, p, expo, s)
+            coarse = _sphere_pass(group, norm, parts, sets[2], a0, p, expo, max(2, s // 2))
             scale, scale_err = 1.0, 0.0
             break
     else:
         sm = sphere_measure(group, norm)
-        full = _one_node_pass(parts, full_r, a0, p, expo)
-        coarse = _one_node_pass(parts, coarse_r, a0, p, expo)
+        full, coarse = _one_node_pass(parts, sets, a0, p, expo)
         scale, scale_err = sm.value, sm.error
     err = abs(full - coarse) + _ROUNDING * abs(full)
     full = max(full, 0.0)

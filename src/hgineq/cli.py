@@ -259,6 +259,11 @@ def _run_corpus(cfg, checks, meta):
                              radial_fraction=cfg["radial_fraction"])
     fields = make_corpus(group, norm, corpus_spec)
     reports, skipped = _run_grid(group, norm, fields, checks, cfg, quad)
+    if not reports and not cfg["allow_empty"]:
+        refused = f"{len(skipped)} grid point{'' if len(skipped) == 1 else 's'} refused"
+        why = "" if cfg["verbose"] else "; --verbose names each reason"
+        raise ConfigError(f"no reports generated: {refused}{why}; pass --allow-empty "
+                          "(config key allow_empty) to emit an empty document")
     meta = {**meta, "group": group.name, "norm": norm.kind, "skipped": skipped}
     text = write_reports(reports, path=None, fmt=cfg["format"], meta=meta,
                          timestamp=cfg["timestamp"], allow_empty=cfg["allow_empty"])

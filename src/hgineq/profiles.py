@@ -34,10 +34,11 @@ A cutoff depends on its four radii only, so every field, scan entry and
 report that carries the same cutoff shares its stack on a memoized radial
 node array (:func:`~hgineq.quadrature.is_radial_node_set`).  The last
 ``_CUTOFF_ENTRIES`` such stacks are kept, each ``(order + 1) x nodes``
-floats: the seven default scan carriers, the corpus annulus and sigma's
-annulus, on the full and the coarse node set, make 18 (~0.9 MB).  No other
-piece is kept: exp-power cores depend on ``(p, alpha, beta)`` and corpus
-bumps are random, so neither recurs.
+floats: the seven default scan carriers and the corpus annulus, each on its
+paired full and coarse node set, and sigma's annulus on its full and its
+coarse set, make 10 (~0.9 MB).  No other piece is kept: exp-power cores
+depend on ``(p, alpha, beta)`` and corpus bumps are random, so neither
+recurs.
 """
 
 from __future__ import annotations
@@ -402,9 +403,9 @@ def _keep(cache, size, ids, entry):
     return entry
 
 
-#: cutoff stacks kept: 18 cover the full and the coarse node set of each
-#: default scan carrier, the corpus annulus and sigma's annulus
-_CUTOFF_ENTRIES = 32
+#: cutoff stacks kept: 10 cover the paired node set of each default scan
+#: carrier and the corpus annulus, and sigma's annulus on its two sets
+_CUTOFF_ENTRIES = 16
 _CUTOFF_STACKS = {}  # (radii, id(node array)) -> (node array, read-only stack)
 
 

@@ -3,10 +3,14 @@
 Radial integrals use composite Gauss-Legendre panels placed uniformly in
 ``log r``, which resolves integrands spread over dozens of decades (the
 panel count automatically grows with the log-width of the interval).
-Node sets are memoized (:func:`radial_log_nodes`, :func:`polar_radial_nodes`
+Node sets are memoized (:func:`radial_log_nodes`, :func:`polar_radial_pair`
 and :func:`sphere_rule` keep a bounded number of read-only arrays), so every
 integral over the same interval at the same order sees the same array object.
-The radial node arrays are also registered while they live
+The polar route's full and coarse radial sets are stored once per interval
+and order, as one paired array (the full set, then the coarse set at half
+the order) of which the two sets are slices: a pass over both takes the
+pair, a pass over one set takes its slice.  The radial node arrays, pairs
+and slices alike, are also registered while they live
 (:func:`is_radial_node_set`), so a consumer can tell such an array, whose
 values never change, from any other read-only array.
 
@@ -141,8 +145,24 @@ def is_radial_node_set(r):
     return _RADIAL_NODE_SETS.get(id(r)) is r
 
 
-def _register(nodes):
+def _frozen(nodes, weights):
+    """``(nodes, weights)`` made read-only, the nodes registered."""
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     _RADIAL_NODE_SETS[id(nodes)] = nodes
+    return nodes, weights
+
+
+def _log_panels(r_lo, r_hi, order, panels):
+    """The nodes and weights of :func:`radial_log_nodes`, not memoized."""
+    if not 0 < r_lo < r_hi:
+        raise InvalidParameterError("need 0 < r_lo < r_hi")
+    edges = np.geomspace(r_lo, r_hi, panels + 1)
+    xg, wg = _gauss(order)
+    lo = edges[:-1, None]
+    hi = edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo) + half * xg).ravel(), (half * wg).ravel()
 
 
 @functools.lru_cache(maxsize=64)
@@ -152,19 +172,7 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
     Memoized: a repeated call returns the same read-only arrays, which
     lets :mod:`~hgineq.calculus` recognise a node set by identity.
     """
-    if not 0 < r_lo < r_hi:
-        raise InvalidParameterError("need 0 < r_lo < r_hi")
-    edges = np.geomspace(r_lo, r_hi, panels + 1)
-    xg, wg = _gauss(order)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo) + half * xg).ravel()
-    weights = (half * wg).ravel()
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    _register(nodes)
-    return nodes, weights
+    return _frozen(*_log_panels(r_lo, r_hi, order, panels))
 
 
 #: on a support that touches the origin, the log-spaced panels start at
@@ -172,26 +180,42 @@ def radial_log_nodes(r_lo, r_hi, order, panels):
 _ORIGIN_PANEL = 1e-3
 
 
-@functools.lru_cache(maxsize=64)
-def polar_radial_nodes(r_lo, r_hi, order, panels):
-    """Radial nodes and weights of the polar route on ``[r_lo, r_hi]``:
-    :func:`effective_panels` log-spaced panels (:func:`radial_log_nodes`),
-    and for ``r_lo = 0`` one plain Gauss-Legendre panel on
-    ``[0, r_hi * 1e-3]`` in front.
-
-    Memoized with read-only arrays, like :func:`radial_log_nodes`.
-    """
+def _polar_panels(r_lo, r_hi, order, panels):
+    """The nodes and weights of one polar node set, not memoized."""
     if r_lo > 0:
-        return radial_log_nodes(r_lo, r_hi, order, effective_panels(r_lo, r_hi, panels))
+        return _log_panels(r_lo, r_hi, order, effective_panels(r_lo, r_hi, panels))
     r_b = _ORIGIN_PANEL * r_hi
-    nodes, weights = radial_log_nodes(r_b, r_hi, order, effective_panels(r_b, r_hi, panels))
+    nodes, weights = _log_panels(r_b, r_hi, order, effective_panels(r_b, r_hi, panels))
     xg, wg = _gauss(order)
-    nodes = np.concatenate([0.5 * r_b * (xg + 1.0), nodes])
-    weights = np.concatenate([0.5 * r_b * wg, weights])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    _register(nodes)
-    return nodes, weights
+    return (np.concatenate([0.5 * r_b * (xg + 1.0), nodes]),
+            np.concatenate([0.5 * r_b * wg, weights]))
+
+
+@functools.lru_cache(maxsize=32)
+def polar_radial_pair(r_lo, r_hi, order, panels):
+    """Both radial node sets of the polar route on ``[r_lo, r_hi]`` in one
+    array: ``(pair, full, coarse)``, each ``(nodes, weights)``.
+
+    ``full`` is the set at ``order``, ``coarse`` the set at
+    ``max(2, order // 2)``; each has :func:`effective_panels` log-spaced
+    panels, and for ``r_lo = 0`` one plain Gauss-Legendre panel on
+    ``[0, r_hi * 1e-3]`` in front.  ``pair`` is ``full`` followed by
+    ``coarse``, and the two sets are its leading and trailing slices, so
+    each node set is stored once.  Memoized; all three are read-only and
+    registered (:func:`is_radial_node_set`).
+    """
+    sets = [_polar_panels(r_lo, r_hi, o, panels) for o in (order, max(2, order // 2))]
+    nodes, weights = _frozen(*(np.concatenate(arrays) for arrays in zip(*sets)))
+    split = len(sets[0][0])
+    return ((nodes, weights), _frozen(nodes[:split], weights[:split]),
+            _frozen(nodes[split:], weights[split:]))
+
+
+def polar_radial_nodes(r_lo, r_hi, order, panels):
+    """Radial nodes and weights of the polar route on ``[r_lo, r_hi]`` at
+    ``order``: the full set of :func:`polar_radial_pair`, so a repeated
+    call returns the same read-only arrays."""
+    return polar_radial_pair(r_lo, r_hi, order, panels)[1]
 
 
 def unit_sphere_rule(n, order):
@@ -270,21 +294,17 @@ def sphere_rule(norm, order):
 
 
 def integrate_radial(fn, r_lo, r_hi, config=DEFAULT_CONFIG):
-    """Integrate ``fn`` (vectorized) over ``[r_lo, r_hi]`` on the nodes of
-    :func:`polar_radial_nodes`.
+    """Integrate ``fn`` (vectorized) over ``[r_lo, r_hi]`` on the full set
+    of :func:`polar_radial_pair`.
 
     Returns ``(value, error)``; the error is the difference against a
-    half-order pass on the same panels.
+    pass on the pair's coarse set, at half the order on the same panels.
+    ``fn`` is called once on each set.
     """
     if not 0 < r_lo < r_hi:
         raise InvalidParameterError("need 0 < r_lo < r_hi")
-
-    def one_pass(order):
-        nodes, weights = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
-        return float(np.dot(weights, fn(nodes)))
-
-    full = one_pass(config.radial_order)
-    coarse = one_pass(max(2, config.radial_order // 2))
+    _, *sets = polar_radial_pair(r_lo, r_hi, config.radial_order, config.radial_panels)
+    full, coarse = (float(np.dot(weights, fn(nodes))) for nodes, weights in sets)
     err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
     return full, err
 

@@ -749,7 +749,7 @@ def _clear_every_cache():
     _STACKS.clear()
     profiles._CUTOFF_STACKS.clear()
     clear_sphere_measure_cache()
-    for memo in (quadrature.radial_log_nodes, quadrature.polar_radial_nodes,
+    for memo in (quadrature.radial_log_nodes, quadrature.polar_radial_pair,
                  quadrature.sphere_rule):
         memo.cache_clear()
 

@@ -348,6 +348,21 @@ def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("verbose", [False, True])
+def test_an_empty_document_is_refused_with_its_flag_and_the_refused_count(tmp_path, capsys,
+                                                                           verbose):
+    code, text = run(tmp_path, "verify", "--group", "r:3", "--check", "hardy", "--count", "1",
+                     "--alpha", "nan", *(["--verbose"] if verbose else []))
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: no reports generated: 1 grid point refused")
+    assert "--allow-empty" in err[-1] and "allow_empty" in err[-1]
+    assert ("--verbose" in err[-1]) is not verbose
+    assert len(err) == 1 + verbose  # --verbose warns about the point it skipped
+    assert run(tmp_path, "verify", "--group", "r:3", "--check", "hardy", "--count", "1",
+               "--alpha", "nan", "--allow-empty")[0] == 0
+
+
 def test_a_non_finite_grid_point_is_skipped(tmp_path):
     code, text = run(tmp_path, *_VERIFY, "--alpha", "0,nan")
     assert code == 0

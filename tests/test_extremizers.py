@@ -103,9 +103,9 @@ def test_attained_quotient_builds_each_node_sets_stack_once(r3, config, monkeypa
 
     monkeypatch.setattr(RadialProfile, "derivatives", counting)
     attained_quotient(group, norm, fam, config)
-    # the full and the coarse grid, each to the order Rf needs
-    assert [order for _, order in calls] == [1, 1]
-    assert calls[0][0] is calls[1][0] and calls[0][0].root() == (calls[0][0], 0)
+    # one stack on the paired full and coarse node set, to the order Rf needs
+    assert [order for _, order in calls] == [1]
+    assert calls[0][0].root() == (calls[0][0], 0)
 
 
 def test_power_branch_gap_shrinks_logarithmically(r3, config):

@@ -39,14 +39,16 @@ from hgineq.calculus import _BLOCK, _SAMPLE_ENTRIES, _SAMPLES, _grid_values, _on
 from hgineq.calculus import (
     _ORBIT_FD_STENCILS,
     _compatible,
+    _one_node_pass,
     _orbit_fd,
     _polar_integral,
     _radial_range,
     _samples,
 )
+from hgineq.extremizers import ExtremizerFamily, extremizer_field
 from hgineq.fields import orbit_profiles
 from hgineq.norms import NORM_KINDS
-from hgineq.quadrature import polar_radial_nodes, sphere_rule
+from hgineq.quadrature import is_radial_node_set, polar_radial_nodes, polar_radial_pair, sphere_rule
 from hgineq.reports import CHECKS, evaluate
 from conftest import catalog_pairs, sample_points
 
@@ -502,6 +504,71 @@ def test_one_node_route_keeps_the_bits_of_one_closure(name, p, cfg):
     for parts in cases:
         got = _polar_integral(group, norm, f, parts, p, cfg)
         assert got == _ref_one_node_integral(group, norm, f, parts, p, cfg), parts
+
+
+def _separate_passes(group, norm, f, parts, p, config):
+    """The one-node route's full and coarse pass, each a sweep of its own on
+    the set :func:`polar_radial_nodes` gives at its order, each part's values
+    a fresh evaluation of its profile."""
+    r_lo, r_hi = _radial_range(f, norm)
+    a0 = parts[0][2]
+    expo = group.homogeneous_dimension - 1.0 - a0 * p
+    out = []
+    for order in (config.radial_order, max(2, config.radial_order // 2)):
+        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
+        acc = None
+        for c, g, a in parts:
+            vals = g.profile.derivatives(r, 0)[0]
+            if a != a0:
+                vals = r ** (a0 - a) * vals
+            if c != 1:
+                vals = c * vals
+            acc = vals if acc is None else acc + vals
+        out.append(float(np.dot(wr, np.abs(acc) ** p * r**expo)))
+    return tuple(out)
+
+
+def _sweep_cases(group, norm):
+    """``(f, parts, p)``: a corpus field, an ``l2-identity`` k = 2 remainder
+    with a complex coefficient, a support on the origin, and the deepest
+    default scan carrier."""
+    q = group.homogeneous_dimension
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=7, radial_fraction=1.0))[0]
+    rf = [nth_radial_derivative(group, norm, f, k) for k in (1, 2)]
+    alpha = 0.5
+    c = 0.5 * (q - 2.0 * (1.0 + alpha)) * (1.0 + 0.25j)
+    # the one-node parts of an integral over a support that touches the origin
+    g = radial_field(gaussian_profile(1.0), norm, support=(1e-6, 5.0))
+    origin = generic_field(g.values, (0.0, 5.0), norm=norm)
+    family = ExtremizerFamily(p=2.0, alpha=0.0, beta=1.0, eps=1e-56, r_out=1e56)
+    scan = extremizer_field(group, norm, family)
+    return [
+        (f, [(1.0, f, 0.5)], 3.0),
+        (f, [(1.0, rf[1], alpha), (c, rf[0], 1.0 + alpha)], 2.0),
+        (origin, [(1.0, g, -0.5)], 1.5),
+        (scan, [(1.0, nth_radial_derivative(group, norm, scan, 1), 0.0)], 2.0),
+    ]
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, QuadratureConfig(radial_order=64, radial_panels=12)])
+@pytest.mark.parametrize("name", GROUPS)
+def test_one_sweep_gives_the_floats_of_two_separate_passes(name, cfg):
+    group = parse_group(name)
+    norm = default_norm(group)
+    for f, parts, p in _sweep_cases(group, norm):
+        r_lo, r_hi = _radial_range(f, norm)
+        sets = polar_radial_pair(r_lo, r_hi, cfg.radial_order, cfg.radial_panels)
+        (pair, _), (full, _), (coarse, _) = sets
+        # both sets are registered slices of the one stored pair
+        assert all(is_radial_node_set(r) for r in (pair, full, coarse))
+        assert np.shares_memory(full, pair) and np.shares_memory(coarse, pair)
+        assert len(full) + len(coarse) == len(pair)
+        if f.support[1] == 2e56:
+            assert len(full) > 10_000  # threaded ddot
+        a0 = parts[0][2]
+        expo = group.homogeneous_dimension - 1.0 - a0 * p
+        got = _one_node_pass(parts, sets, a0, p, expo)
+        assert got == _separate_passes(group, norm, f, parts, p, cfg), parts
 
 
 @pytest.mark.parametrize("name", GROUPS)

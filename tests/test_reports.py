@@ -294,6 +294,7 @@ def test_report_builds_each_node_sets_stack_once(r3, config, monkeypatch):
 
     monkeypatch.setattr(RadialProfile, "derivatives", counting)
     ckn_report(group, norm, f, 2.0, 0.0, 1.0, config=config)
-    # the ||Rf|| norm first, then ||f|| twice from the same stacks; measured
-    # in table order this was [0, 0, 1, 1]
-    assert [order for _, order in calls] == [1, 1]
+    # the ||Rf|| norm first, then ||f|| twice from the same stack, one on the
+    # paired full and coarse node set; measured in table order this was
+    # [0, 0, 1, 1], and on separate node sets [1, 1]
+    assert [order for _, order in calls] == [1]

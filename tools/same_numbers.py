@@ -46,6 +46,11 @@ COMMANDS = [
     # l2-sharp and both combined rows on the one-node route
     "verify --group heis1 --check uncertainty,l2-sharp,combined --count 3 --seed 4"
     " --radial-fraction 1 --p 1.5,2 --alpha 0,0.5 --beta 1 --k 1,2",
+    # the exponential branch, whose profile underflows across much of the
+    # carrier, and cold_deep's identity configuration (order 64, 12 panels)
+    "scan-sharpness --group r:3 --p 3 --alpha 0.5 --beta 1",
+    "identity-check --group heis1 --count 3 --seed 2 --k 1,2,3 --alpha=-1,0,1"
+    " --radial-order 64 --radial-panels 12",
 ]
 
 
