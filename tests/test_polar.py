@@ -457,16 +457,15 @@ def _ref_polar_integral(group, norm, f, parts, p, config):
     return max(full, 0.0), err
 
 
-def _ref_one_node_integral(group, norm, f, parts, p, config):
-    """``_polar_integral`` on the one-node route as one closure over both
-    passes, each part's values a fresh evaluation of its profile: the
-    oracle for the one-node helper."""
+def _separate_passes(group, norm, f, parts, p, config):
+    """The one-node route's full and coarse pass, each a sweep of its own on
+    the set :func:`polar_radial_nodes` gives at its order, each part's values
+    a fresh evaluation of its profile."""
     r_lo, r_hi = _radial_range(f, norm)
     a0 = parts[0][2]
     expo = group.homogeneous_dimension - 1.0 - a0 * p
-    sm = sphere_measure(group, norm)
-
-    def one_pass(order):
+    out = []
+    for order in (config.radial_order, max(2, config.radial_order // 2)):
         r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
         acc = None
         for c, g, a in parts:
@@ -476,10 +475,16 @@ def _ref_one_node_integral(group, norm, f, parts, p, config):
             if c != 1:
                 vals = c * vals
             acc = vals if acc is None else acc + vals
-        return float(np.dot(wr, np.abs(acc) ** p * r**expo))
+        out.append(float(np.dot(wr, np.abs(acc) ** p * r**expo)))
+    return tuple(out)
 
-    full = one_pass(config.radial_order)
-    coarse = one_pass(max(2, config.radial_order // 2))
+
+def _ref_one_node_integral(group, norm, f, parts, p, config):
+    """``_polar_integral`` on the one-node route from two separate passes,
+    each part's values a fresh evaluation of its profile: the oracle for
+    the one-node helper."""
+    sm = sphere_measure(group, norm)
+    full, coarse = _separate_passes(group, norm, f, parts, p, config)
     err = abs(full - coarse) + 4.0 * np.finfo(float).eps * abs(full)
     full = max(full, 0.0)
     return sm.value * full, sm.value * err + sm.error * full
@@ -504,28 +509,6 @@ def test_one_node_route_keeps_the_bits_of_one_closure(name, p, cfg):
     for parts in cases:
         got = _polar_integral(group, norm, f, parts, p, cfg)
         assert got == _ref_one_node_integral(group, norm, f, parts, p, cfg), parts
-
-
-def _separate_passes(group, norm, f, parts, p, config):
-    """The one-node route's full and coarse pass, each a sweep of its own on
-    the set :func:`polar_radial_nodes` gives at its order, each part's values
-    a fresh evaluation of its profile."""
-    r_lo, r_hi = _radial_range(f, norm)
-    a0 = parts[0][2]
-    expo = group.homogeneous_dimension - 1.0 - a0 * p
-    out = []
-    for order in (config.radial_order, max(2, config.radial_order // 2)):
-        r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
-        acc = None
-        for c, g, a in parts:
-            vals = g.profile.derivatives(r, 0)[0]
-            if a != a0:
-                vals = r ** (a0 - a) * vals
-            if c != 1:
-                vals = c * vals
-            acc = vals if acc is None else acc + vals
-        out.append(float(np.dot(wr, np.abs(acc) ** p * r**expo)))
-    return tuple(out)
 
 
 def _sweep_cases(group, norm):
