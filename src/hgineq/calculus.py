@@ -53,11 +53,14 @@ the one-node route (a sphere pass takes one on each set of the pair), and
 the samples on the full and the coarse grid of the last two opaque
 fields.  A truncation cutoff's stack is shared across fields
 (:func:`~hgineq.profiles.annulus_cutoff`).
-The weighted norms of quasi-radial and product fields in their own norm
-are kept as well, for the last two root profiles (:func:`weighted_lp_norm`):
-a field's check grid integrates each distinct norm once.  So is ``R^k f`` of
-a quasi-radial field in its own norm, for the last eight (field, k) pairs
-matched by the field's identity (:func:`nth_radial_derivative`).  A field is in its
+A one-part integrand without its weight, ``|c R^k f|^p`` on the grid, is
+kept for the last four keys (:func:`_integrand`): what the grid is built
+from (:func:`_grid_key`), ``c``, ``p`` and the node arrays.  A norm of that
+field at that ``p`` with another weight then costs one ``r^expo`` and the
+dot products.  The norms themselves are kept for the last two fields
+(:func:`weighted_lp_norm`), and ``R^k f`` of a quasi-radial field in its
+own norm for the last eight (field, k) pairs matched by the field's
+identity (:func:`nth_radial_derivative`).  A field is in its
 own norm when its norm equals the integration norm as a value: the same
 kind on an equal group, id and weights.  The sigma memo compares the same
 values.  A norm is integrated only on a group with its own group's weights
@@ -392,7 +395,17 @@ def _radial_range(f, norm):
 #: samples kept: an opaque field's values on the full and the coarse grid
 #: of two fields
 _SAMPLE_ENTRIES = 4
-_SAMPLES = {}  # ids -> (values callable, radial nodes, sphere nodes, read-only samples)
+_SAMPLES = {}  # ids -> ((values callable, radial nodes, sphere nodes), read-only samples)
+
+
+def _kept(cache, size, key, held, build):
+    """``build()``, kept read-only in ``cache`` (the newest ``size`` keys)
+    under ``key`` beside ``held``, the objects whose ids ``key`` holds."""
+    entry = cache.pop(key, None)
+    if entry is None:
+        entry = (held, build())
+        entry[-1].flags.writeable = False
+    return _keep(cache, size, key, entry)[-1]
 
 
 def _row_blocks(count, width):
@@ -442,11 +455,8 @@ def _samples(group, f, r, nodes):
     callable, radial nodes, sphere nodes) triples, matched by identity:
     the norms of one field on one node set share one evaluation."""
     ids = (id(f.values), id(r), id(nodes))
-    entry = _SAMPLES.pop(ids, None)
-    if entry is None:
-        entry = (f.values, r, nodes, _on_orbits(group, f, r, nodes))
-        entry[-1].flags.writeable = False
-    return _keep(_SAMPLES, _SAMPLE_ENTRIES, ids, entry)[-1]
+    return _kept(_SAMPLES, _SAMPLE_ENTRIES, ids, (f.values, r, nodes),
+                 lambda: _on_orbits(group, f, r, nodes))
 
 
 def _radius_blocks(fields, r, nodes):
@@ -504,25 +514,53 @@ def _combine(parts, values, column, a0, p):
     return np.abs(acc) ** p
 
 
+#: integrands kept: a product field's f and R f on the full and the coarse set
+_INTEGRAND_ENTRIES = 4
+_INTEGRANDS = {}  # key -> ((held, radial nodes, sphere nodes), read-only integrand)
+
+
+def _grid_key(norm, g):
+    """``(held, key)``: what :func:`_grid_blocks` builds ``g``'s grid from
+    besides the nodes, and the object whose id ``key`` holds.  That is the
+    root profile, orders, polynomial and norm of a field in its own norm, the
+    base's values, order and norm of an orbit-FD field along ``norm``, or
+    the values callable."""
+    if g.structure in ("radial", "product") and _compatible(g.norm, norm):
+        root, k = g.profile.root()
+        return root, (id(root), k, g.poly, g.order, g.norm)
+    if g.orbit_fd is not None and _compatible(g.orbit_fd[2], norm):
+        base, k, orbit_norm = g.orbit_fd
+        return base.values, (id(base.values), k, orbit_norm)
+    return g.values, (id(g.values),)
+
+
+def _integrand(norm, parts, p, r, sphere, build):
+    """``build()``, the integrand ``|sum_i c_i r^(a_0 - a_i) g_i|^p`` on
+    radial nodes ``r`` times ``sphere`` (one node if ``None``) without the
+    weight ``r^(Q - 1 - a_0 p)``.  A one-part integrand is kept per
+    :func:`_grid_key`, coefficient, ``p`` and node arrays, so the norms of
+    one field at one ``p`` share it whatever their weights."""
+    if len(parts) > 1:
+        return build()
+    c, g, _ = parts[0]
+    held, grid = _grid_key(norm, g)
+    return _kept(_INTEGRANDS, _INTEGRAND_ENTRIES, (grid, c, p, id(r), id(sphere)),
+                 (held, r, sphere), build)
+
+
 def _one_node_pass(parts, sets, a0, p, expo):
     """Both passes of the one-node route, ``(full, coarse)``, in one sweep.
 
     ``sets`` is :func:`~hgineq.quadrature.polar_radial_pair`'s ``(pair,
-    full, coarse)``.  The parts' stacks are combined inline on the pair,
-    one stack per part's root, and the integrand is formed once; each
-    pass is a dot product over its set's slice.  Every step is elementwise
-    in ``r``, so each slice holds the values a pass on its set alone gives.
+    full, coarse)``.  The integrand (:func:`_integrand`) is formed once on
+    the pair from one stack per part's root; each pass is a dot product
+    over its set's slice.  Every step is elementwise in ``r``, so each
+    slice holds the values a pass on its set alone gives.
     """
     (r, wr), (full_r, _), _ = sets
-    acc = None
-    for c, g, a in parts:
-        vals = _profile_stack(g.profile, r, 0)[0]
-        if a != a0:
-            vals = r ** (a0 - a) * vals
-        if c != 1:
-            vals = c * vals
-        acc = vals if acc is None else acc + vals
-    vals = np.abs(acc) ** p * r**expo
+    # every part is quasi-radial in its own norm
+    vals = _integrand(parts[0][1].norm, parts, p, r, None, lambda: _combine(
+        parts, [_profile_stack(g.profile, r, 0)[0] for _, g, _ in parts], r, a0, p)) * r**expo
     split = len(full_r)
     return float(np.dot(wr[:split], vals[:split])), float(np.dot(wr[split:], vals[split:]))
 
@@ -531,11 +569,16 @@ def _sphere_pass(group, norm, parts, nodes, a0, p, expo, sphere_order):
     """A pass on radial ``nodes`` times the sphere rule of ``sphere_order``."""
     r, wr = nodes
     sphere, sigma = sphere_rule(norm, sphere_order)
-    blocks = _radius_blocks([g for _, g, _ in parts], r, sphere)
-    grids = [_grid_blocks(group, norm, g, r, sphere, blocks) for _, g, _ in parts]
-    acc = np.empty((len(r), len(sphere)))
-    for rows, values in zip(blocks, zip(*grids)):
-        acc[rows] = _combine(parts, values, r[rows, None], a0, p)
+
+    def integrand():
+        blocks = _radius_blocks([g for _, g, _ in parts], r, sphere)
+        grids = [_grid_blocks(group, norm, g, r, sphere, blocks) for _, g, _ in parts]
+        acc = np.empty((len(r), len(sphere)))
+        for rows, values in zip(blocks, zip(*grids)):
+            acc[rows] = _combine(parts, values, r[rows, None], a0, p)
+        return acc
+
+    acc = _integrand(norm, parts, p, r, sphere, integrand)
     return float((wr * r**expo) @ acc @ sigma)
 
 
@@ -582,38 +625,35 @@ def _polar_integral(group, norm, f, parts, p, config):
     return scale * full, scale * err + scale_err * full
 
 
-#: norms kept: those of the last two fields, matched by root profile
+#: norms kept: those of the last two fields, matched by their grid key's object
 _NORM_FIELDS = 2
-_NORMS = {}  # id(root profile) -> (root profile, {key: (value, error)})
+_NORMS = {}  # id(held) -> (held, {key: (value, error)})
 
 
 def weighted_lp_norm(group, norm, f, weight, p, config=None):
     """``|| f / N^weight ||_p`` over the group, the one-part case of
     :func:`_polar_integral`; returns ``(value, error)``.
 
-    The norms of quasi-radial and product fields in their own norm are
-    kept for the last two root profiles, keyed by every other input of the
-    integral, so the checks of one field measure each norm once."""
+    The norms are kept for the last two fields, matched by the object of
+    their :func:`_grid_key`, keyed by every other input of the integral, so
+    the checks of one field measure each norm once."""
     if not p >= 1.0:
         raise InvalidParameterError("p must satisfy p >= 1")
     config = config or DEFAULT_CONFIG
-    memo = None
-    if f.structure in ("radial", "product") and _compatible(f.norm, norm):
-        root, k = f.profile.root()
-        entry = _NORMS.pop(id(root), None) or (root, {})
-        memo = _keep(_NORMS, _NORM_FIELDS, id(root), entry)[1]
-        key = (k, f.poly, f.order, f.support, group, norm, weight, p,
-               config.radial_order, config.radial_panels)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    held, grid = _grid_key(norm, f)
+    entry = _NORMS.pop(id(held), None) or (held, {})
+    memo = _keep(_NORMS, _NORM_FIELDS, id(held), entry)[1]
+    key = (grid, f.support, f.norm, group, norm, weight, p, config.radial_order,
+           config.radial_panels)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     # after the lookup: the memo never holds a refused weight or p
     validate_finite(weight=weight, p=p)
     total, total_err = _polar_integral(group, norm, f, [(1.0, f, weight)], p, config)
     value = total ** (1.0 / p)
     error = value * (total_err / total) / p if value > 0 else total_err ** (1.0 / p)
-    if memo is not None:
-        memo[key] = (value, error)
+    memo[key] = (value, error)
     return value, error
 
 

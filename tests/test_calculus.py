@@ -728,6 +728,7 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
         for i in order:
             if clear:
                 calculus._NORMS.clear()
+                calculus._INTEGRANDS.clear()
                 calculus._DERIVED.clear()
                 reports._plan.cache_clear()
                 _STACKS.clear()
@@ -743,6 +744,7 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
 
 def _clear_every_cache():
     calculus._NORMS.clear()
+    calculus._INTEGRANDS.clear()
     calculus._DERIVED.clear()
     reports._plan.cache_clear()
     calculus._SAMPLES.clear()
@@ -752,6 +754,59 @@ def _clear_every_cache():
     for memo in (quadrature.radial_log_nodes, quadrature.polar_radial_pair,
                  quadrature.sphere_rule):
         memo.cache_clear()
+
+
+def test_a_quasi_radial_ckn_report_takes_one_integrand_per_field(heis, monkeypatch):
+    group, norm = heis
+    f = _corpus_field(group, norm)
+    calculus._NORMS.clear()
+    calculus._INTEGRANDS.clear()
+    orders = []
+    stack = calculus._profile_stack
+
+    def counting(prof, r, order):
+        orders.append(prof.root()[1])
+        return stack(prof, r, order)
+
+    monkeypatch.setattr(calculus, "_profile_stack", counting)
+    evaluate("ckn", group, norm, f, {"p": 1.5, "alpha": 0.5, "beta": 1.0})
+    # norm_lhs and norm_dual weigh one |f|^p on the paired node set
+    assert sorted(orders) == [0, 1]
+
+
+#: many weights at a few p, and the combinations of an identity
+_SWEEP = [
+    *[(check, {"p": p, "alpha": alpha, "beta": 1.0}) for p in (1.5, 2.0, 3.0)
+      for check in ("ckn", "hardy", "hpw1") for alpha in (0.0, 0.5)],
+    *[("up1p", {"p": p}) for p in (1.5, 2.0, 3.0)],
+    ("l2-identity", {"alpha": 0.0, "k": 1}),
+]
+
+
+@pytest.mark.parametrize("kind", ["radial", "product", "opaque", "orbit_fd"])
+def test_sweep_order_and_cleared_integrands_give_the_same_reports(kind):
+    group = parse_group("heis1")
+    norm = default_norm(group)
+    mode = "orbit_fd" if kind == "orbit_fd" else "auto"
+
+    def run(order, clear=lambda: None):
+        f = _corpus_field(group, norm, 1.0 if kind == "radial" else 0.0)
+        if kind == "opaque":
+            f = generic_field(f.values, f.support, norm=norm, field_id=f.field_id)
+        out = {}
+        for i in order:
+            clear()
+            check, point = _SWEEP[i]
+            try:
+                out[i] = render_json([evaluate(check, group, norm, f, point, mode=mode)])
+            except (DegenerateConstantError, InvalidParameterError) as exc:
+                out[i] = repr(exc)
+        return out
+
+    forward = run(range(len(_SWEEP)))
+    assert run(range(len(_SWEEP)), clear=calculus._INTEGRANDS.clear) == forward
+    assert run(reversed(range(len(_SWEEP)))) == forward
+    assert run(range(len(_SWEEP)), clear=_clear_every_cache) == forward
 
 
 @pytest.mark.parametrize("name", ["r:3", "heis1"])

@@ -33,10 +33,14 @@ from hgineq import (
     parse_group,
     radial_field,
     sphere_measure,
+    weighted_combo_l2,
     weighted_lp_norm,
 )
+from hgineq import calculus
 from hgineq.calculus import _BLOCK, _SAMPLE_ENTRIES, _SAMPLES, _grid_values, _on_orbits
 from hgineq.calculus import (
+    _INTEGRAND_ENTRIES,
+    _INTEGRANDS,
     _ORBIT_FD_STENCILS,
     _compatible,
     _one_node_pass,
@@ -600,6 +604,100 @@ def test_sample_cache_stays_bounded_and_read_only(r3, config):
     for entry in _SAMPLES.values():
         with pytest.raises(ValueError):
             entry[-1][0, 0] = 0.0
+
+
+# -- integrand memo --------------------------------------------------------------
+
+
+def _counting_grids(monkeypatch):
+    """``(field id, radial nodes, sphere nodes)`` of every grid
+    ``_grid_blocks`` builds from now on, with the memos emptied."""
+    calculus._NORMS.clear()
+    _INTEGRANDS.clear()
+    built = []
+    grid_blocks = calculus._grid_blocks
+
+    def counting(group, norm, f, r, nodes, blocks):
+        built.append((f.field_id, len(r), len(nodes)))
+        return grid_blocks(group, norm, f, r, nodes, blocks)
+
+    monkeypatch.setattr(calculus, "_grid_blocks", counting)
+    return built
+
+
+def test_a_product_ckn_report_forms_each_grid_once(r3, monkeypatch):
+    group, norm = r3
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    built = _counting_grids(monkeypatch)
+    ckn_report(group, norm, f, 2.0, 0.5, 1.0)
+    # norm_lhs and norm_dual weigh one |f|^p: R f and f, on the full and the coarse set
+    assert len(built) == len(set(built)) == 4
+
+
+@pytest.mark.parametrize("mode", ["auto", "orbit_fd"])
+def test_a_hardy_sweep_at_one_p_forms_each_grid_once(r3, mode, monkeypatch):
+    group, norm = r3
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    built = _counting_grids(monkeypatch)
+    for alpha in (-0.5, 0.0, 0.25, 0.5):
+        evaluate("hardy", group, norm, f, {"p": 1.5, "alpha": alpha}, mode=mode)
+    assert len(built) == len(set(built)) == 4
+
+
+def _integrand_cases(case):
+    """Two norms of one field whose integrands differ in one input of the
+    memo's key: p, the derivative order (on the one-node route and under
+    orbit finite differences), the radial node set, the sphere rule or the
+    coefficient of a one-part combination."""
+    group = parse_group("r:3")
+    norm = default_norm(group)
+    radial = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=1.0))[0]
+    product = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=0.0))[0]
+    opaque = generic_field(product.values, product.support)  # its support in either norm
+    if case == "p":
+        return [lambda p=p: weighted_lp_norm(group, norm, product, 0.5, p) for p in (2.0, 3.0)]
+    if case in ("k", "orbit k"):
+        f, mode = (radial, "auto") if case == "k" else (opaque, "orbit_fd")
+        return [lambda k=k: weighted_lp_norm(group, norm, nth_radial_derivative(
+            group, norm, f, k, mode=mode), 0.5, 2.0) for k in (1, 2)]
+    if case == "nodes":
+        return [lambda cfg=cfg: weighted_lp_norm(group, norm, radial, 0.5, 2.0, cfg)
+                for cfg in (DEFAULT_CONFIG, QuadratureConfig(radial_order=24))]
+    if case == "sphere":
+        return [lambda kind=kind: weighted_lp_norm(group, make_norm(group, kind), opaque, 0.5, 2.0)
+                for kind in ("euclid", "max")]
+    assert case == "coefficient"
+    return [lambda c=c: weighted_combo_l2(group, norm, radial, [(c, 1, 0.5)])
+            for c in (1.0, 0.5 + 0.5j)]
+
+
+@pytest.mark.parametrize("case", ["p", "k", "orbit k", "nodes", "sphere", "coefficient"])
+def test_integrand_memo_keeps_apart_what_changes_the_integrand(case):
+    fresh = []
+    for norm_of in _integrand_cases(case):
+        calculus._NORMS.clear()
+        _INTEGRANDS.clear()
+        fresh.append(norm_of())
+    assert fresh[0][0] != fresh[1][0]
+    calculus._NORMS.clear()
+    _INTEGRANDS.clear()
+    assert [norm_of() for norm_of in _integrand_cases(case)] == fresh
+
+
+def test_integrand_memo_stays_bounded_and_read_only(r3, config):
+    group, norm = r3
+    f = _opaque(group, norm)
+    radial = make_corpus(group, norm, CorpusSpec(count=1, seed=3, radial_fraction=1.0))[0]
+    for i in range(100):
+        support = (0.2 + 0.001 * i, 5.0)  # new node sets each time
+        for g in (generic_field(f.values, support, norm=norm),
+                  radial_field(radial.profile, norm, support)):
+            weighted_lp_norm(group, norm, g, 0.0, 2.0, config)
+    assert len(_INTEGRANDS) <= _INTEGRAND_ENTRIES
+    for key, (held, integrand) in _INTEGRANDS.items():
+        assert tuple(map(id, held[1:])) == key[-2:]  # the node arrays keyed on are held
+        with pytest.raises(ValueError):
+            integrand[0] = 0.0
 
 
 def _accepted_pairs():

@@ -51,6 +51,14 @@ COMMANDS = [
     "scan-sharpness --group r:3 --p 3 --alpha 0.5 --beta 1",
     "identity-check --group heis1 --count 3 --seed 2 --k 1,2,3 --alpha=-1,0,1"
     " --radial-order 64 --radial-panels 12",
+    # the grids of tools/grid_walls.py: many weights of one field at one p,
+    # on product fields and under orbit finite differences
+    "verify --group r:3 --check ckn,hardy,uncertainty --count 6 --seed 3 --radial-fraction 0"
+    " --p 1.5,2,3 --alpha=0,0.5,1 --beta 0.5,1",
+    "verify --group r:3 --check ckn,hardy,uncertainty --p 1.5,2,3 --alpha=0,0.5 --beta 1"
+    " --count 6 --seed 1 --radial-fraction 0 --mode orbit_fd",
+    "verify --group heis1 --check ckn,hardy,l2-identity --p 2 --alpha=-0.5,0,0.5 --beta 0.5,1"
+    " --k 1,2 --count 6 --seed 1 --radial-fraction 0 --mode orbit_fd",
 ]
 
 
