@@ -45,26 +45,11 @@ formed one block of radii at a time (:func:`_grid_blocks`) into one real
 the values of one block per part: at most ``_BLOCK`` points, counting each
 point of an orbit-FD stencil (one row of radii where a row is larger).
 Every sum keeps its order, so the blocks do not change the result.
-Derivative stacks (:func:`_profile_stack`) and opaque samples
-(:func:`_samples`) are kept for a fixed number of memoized node sets, so
-the norms, derivative orders and reports of one field share one
-evaluation: a stack on the paired set of each of the last two fields on
-the one-node route (a sphere pass takes one on each set of the pair), and
-the samples on the full and the coarse grid of the last two opaque
-fields.  A truncation cutoff's stack is shared across fields
-(:func:`~hgineq.profiles.annulus_cutoff`).
-A one-part integrand without its weight, ``|c R^k f|^p`` on the grid, is
-kept for the last four keys (:func:`_integrand`): what the grid is built
-from (:func:`_grid_key`), ``c``, ``p`` and the node arrays.  A norm of that
-field at that ``p`` with another weight then costs one ``r^expo`` and the
-dot products.  The norms themselves are kept for the last two fields
-(:func:`weighted_lp_norm`), and ``R^k f`` of a quasi-radial field in its
-own norm for the last eight (field, k) pairs matched by the field's
-identity (:func:`nth_radial_derivative`).  A field is in its
-own norm when its norm equals the integration norm as a value: the same
-kind on an equal group, id and weights.  The sigma memo compares the same
-values.  A norm is integrated only on a group with its own group's weights
-(:func:`_own_group`).
+What one field's norms, orders and reports share is memoized
+(:mod:`hgineq.memo`).  A field is in its own norm when its norm equals the
+integration norm as a value: the same kind on an equal group, id and
+weights.  A norm is integrated only on a group with its own group's
+weights (:func:`_own_group`).
 """
 
 from __future__ import annotations
@@ -84,7 +69,8 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
-from .profiles import _keep, annulus_cutoff
+from .memo import Memo, bounded, read_only
+from .profiles import annulus_cutoff
 from .quadrature import (
     _BLOCK,
     DEFAULT_CONFIG,
@@ -182,9 +168,8 @@ def _gradient_contraction_values(group, norm, f):
     return _single_point_aware(values)
 
 
-#: derived fields kept: the few orders a report grid takes of the last few fields
-_DERIVED_ENTRIES = 8
-_DERIVED = {}  # (id(f), k) -> (f, R^k f)
+#: derived fields: the few orders a report grid takes of the last few fields
+_DERIVED = Memo(8)  # (id(f), k) -> (f, R^k f)
 
 
 def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
@@ -206,9 +191,8 @@ def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
     if mode != "orbit_fd":
         if f.is_quasi_radial and _compatible(f.norm, norm):
             ids = (id(f), k)
-            entry = _DERIVED.pop(ids, None) or (f, radial_field(
-                f.profile.derivative(k), f.norm, support=f.support, field_id=tag))
-            return _keep(_DERIVED, _DERIVED_ENTRIES, ids, entry)[1]
+            return (_DERIVED.hit(ids) or _DERIVED.keep(ids, (f, radial_field(
+                f.profile.derivative(k), f.norm, support=f.support, field_id=tag))))[1]
         if f.structure == "product" and _compatible(f.norm, norm):
             return product_field(f.profile, f.poly, f.norm, support=f.support, field_id=tag,
                                  order=f.order + k)
@@ -266,8 +250,6 @@ class SphereMeasure:
         return asdict(self)
 
 
-_SIGMA_CACHE = {}
-
 #: the reference annulus ``a < N <= b`` whose volume gives ``sigma``
 _SIGMA_ANNULUS = (1.0, 2.0)
 
@@ -279,7 +261,8 @@ _MC_SAMPLES = 2_000_000
 
 
 def clear_sphere_measure_cache():
-    _SIGMA_CACHE.clear()
+    """Empty sigma's memo only (:func:`~hgineq.memo.clear_caches` empties all)."""
+    _sphere_measure.cache_clear()
 
 
 def sphere_measure(group, norm, config=None):
@@ -298,16 +281,14 @@ def sphere_measure(group, norm, config=None):
                 evaluations.
     ``mc``      beyond dimension 4: Monte Carlo on ``1{a < N(x) <= b}``.
 
-    Results are memoized per process by value: per group, norm (its kind
-    and its own group) and configuration.
+    Memoized per process by value: group, norm (kind, group) and configuration.
     """
     _own_group(group, norm)
-    config = config or DEFAULT_CONFIG
-    key = (group, norm, config.digest())
-    sm = _SIGMA_CACHE.get(key)
-    if sm is not None:
-        return sm
+    return _sphere_measure(group, norm, config or DEFAULT_CONFIG)
 
+
+@bounded(64)
+def _sphere_measure(group, norm, config):
     n = group.dim
     method = "smooth" if n <= 4 else "mc"
     a, b = _SIGMA_ANNULUS
@@ -344,16 +325,13 @@ def sphere_measure(group, norm, config=None):
         value = scale * vol
         error = scale * vol_err
 
-    sm = SphereMeasure(float(value), float(error), method, group.name, norm.kind,
-                       config.digest())
-    _SIGMA_CACHE[key] = sm
-    return sm
+    return SphereMeasure(float(value), float(error), method, group.name, norm.kind,
+                         config.digest())
 
 
-#: stacks kept: the paired node set of two fields (a field's one-node passes
+#: stacks: the paired node set of two fields (a field's one-node passes
 #: share one stack on the pair; its sphere passes take one on each set)
-_STACK_ENTRIES = 2
-_STACKS = {}  # ids -> (root profile, node array, read-only stack)
+_STACKS = Memo(2)  # ids -> (root profile, node array, read-only stack)
 
 
 def _profile_stack(prof, r, order):
@@ -369,11 +347,10 @@ def _profile_stack(prof, r, order):
     root, k = prof.root()
     need = k + order
     ids = (id(root), id(r))
-    entry = _STACKS.pop(ids, None)
+    entry = _STACKS.hit(ids)
     if entry is None or len(entry[-1]) <= need:
-        entry = (root, r, root.derivatives(r, need))
-        entry[-1].flags.writeable = False
-    return _keep(_STACKS, _STACK_ENTRIES, ids, entry)[-1][k:need + 1]
+        entry = _STACKS.keep(ids, (root, r, read_only(root.derivatives(r, need))))
+    return entry[-1][k:need + 1]
 
 
 def _radial_range(f, norm):
@@ -392,20 +369,8 @@ def _radial_range(f, norm):
             r1 * float(norm(other.bounding_halfwidths(1.0))))
 
 
-#: samples kept: an opaque field's values on the full and the coarse grid
-#: of two fields
-_SAMPLE_ENTRIES = 4
-_SAMPLES = {}  # ids -> ((values callable, radial nodes, sphere nodes), read-only samples)
-
-
-def _kept(cache, size, key, held, build):
-    """``build()``, kept read-only in ``cache`` (the newest ``size`` keys)
-    under ``key`` beside ``held``, the objects whose ids ``key`` holds."""
-    entry = cache.pop(key, None)
-    if entry is None:
-        entry = (held, build())
-        entry[-1].flags.writeable = False
-    return _keep(cache, size, key, entry)[-1]
+#: samples: an opaque field's values on the full and the coarse grid of two fields
+_SAMPLES = Memo(4)  # ids -> ((values callable, radial nodes, sphere nodes), read-only samples)
 
 
 def _row_blocks(count, width):
@@ -455,8 +420,8 @@ def _samples(group, f, r, nodes):
     callable, radial nodes, sphere nodes) triples, matched by identity:
     the norms of one field on one node set share one evaluation."""
     ids = (id(f.values), id(r), id(nodes))
-    return _kept(_SAMPLES, _SAMPLE_ENTRIES, ids, (f.values, r, nodes),
-                 lambda: _on_orbits(group, f, r, nodes))
+    return (_SAMPLES.hit(ids) or _SAMPLES.keep(ids, (
+        (f.values, r, nodes), read_only(_on_orbits(group, f, r, nodes)))))[1]
 
 
 def _radius_blocks(fields, r, nodes):
@@ -479,13 +444,14 @@ def _grid_blocks(group, norm, f, r, nodes, blocks):
     Any other field is evaluated at the points once per grid
     (:func:`_samples`), and its blocks are views of those values.
     """
-    if f.structure == "product" and _compatible(f.norm, norm):
+    route = _grid_key(norm, f)[0]
+    if route == "product":
         mono = f.poly.monomials(nodes) * np.asarray(f.poly.coeffs)
         degs = f.poly.weighted_degrees(group.weights)
         stack = _profile_stack(f.profile, r, f.order)
         profiles = orbit_profiles(f.profile, degs, f.order, r, stack)
         return (profiles[s] @ mono.T for s in blocks)
-    if f.orbit_fd is not None and _compatible(f.orbit_fd[2], norm):
+    if route == "orbit_fd":
         base, k, _ = f.orbit_fd
         return (_orbit_fd(k, r[s], lambda t: _on_orbits(group, base, t, nodes)) for s in blocks)
     samples = _samples(group, f, r, nodes)
@@ -514,24 +480,25 @@ def _combine(parts, values, column, a0, p):
     return np.abs(acc) ** p
 
 
-#: integrands kept: a product field's f and R f on the full and the coarse set
-_INTEGRAND_ENTRIES = 4
-_INTEGRANDS = {}  # key -> ((held, radial nodes, sphere nodes), read-only integrand)
+#: integrands: a product field's f and R f on the full and the coarse set
+_INTEGRANDS = Memo(4)  # key -> ((held, radial nodes, sphere nodes), read-only integrand)
 
 
 def _grid_key(norm, g):
-    """``(held, key)``: what :func:`_grid_blocks` builds ``g``'s grid from
-    besides the nodes, and the object whose id ``key`` holds.  That is the
-    root profile, orders, polynomial and norm of a field in its own norm, the
-    base's values, order and norm of an orbit-FD field along ``norm``, or
-    the values callable."""
+    """``(route, held, key)``: how :func:`_grid_blocks` builds ``g``'s grid,
+    the object whose id ``key`` holds, and what it builds it from besides
+    the nodes.  Quasi-radial (sampled) and product fields in their own norm
+    take ``"radial"`` / ``"product"``, keyed by root profile, orders,
+    polynomial and norm; an orbit-FD field along ``norm`` ``"orbit_fd"``, by
+    its base's values, order and norm; any other field ``"values"``, by its
+    values callable."""
     if g.structure in ("radial", "product") and _compatible(g.norm, norm):
         root, k = g.profile.root()
-        return root, (id(root), k, g.poly, g.order, g.norm)
+        return g.structure, root, (id(root), k, g.poly, g.order, g.norm)
     if g.orbit_fd is not None and _compatible(g.orbit_fd[2], norm):
         base, k, orbit_norm = g.orbit_fd
-        return base.values, (id(base.values), k, orbit_norm)
-    return g.values, (id(g.values),)
+        return "orbit_fd", base.values, (id(base.values), k, orbit_norm)
+    return "values", g.values, (id(g.values),)
 
 
 def _integrand(norm, parts, p, r, sphere, build):
@@ -543,9 +510,10 @@ def _integrand(norm, parts, p, r, sphere, build):
     if len(parts) > 1:
         return build()
     c, g, _ = parts[0]
-    held, grid = _grid_key(norm, g)
-    return _kept(_INTEGRANDS, _INTEGRAND_ENTRIES, (grid, c, p, id(r), id(sphere)),
-                 (held, r, sphere), build)
+    _, held, grid = _grid_key(norm, g)
+    key = (grid, c, p, id(r), id(sphere))
+    return (_INTEGRANDS.hit(key) or _INTEGRANDS.keep(key, (
+        (held, r, sphere), read_only(build()))))[1]
 
 
 def _one_node_pass(parts, sets, a0, p, expo):
@@ -625,9 +593,8 @@ def _polar_integral(group, norm, f, parts, p, config):
     return scale * full, scale * err + scale_err * full
 
 
-#: norms kept: those of the last two fields, matched by their grid key's object
-_NORM_FIELDS = 2
-_NORMS = {}  # id(held) -> (held, {key: (value, error)})
+#: norms: those of the last two fields, matched by their grid key's object
+_NORMS = Memo(2)  # id(held) -> (held, {key: (value, error)})
 
 
 def weighted_lp_norm(group, norm, f, weight, p, config=None):
@@ -640,9 +607,8 @@ def weighted_lp_norm(group, norm, f, weight, p, config=None):
     if not p >= 1.0:
         raise InvalidParameterError("p must satisfy p >= 1")
     config = config or DEFAULT_CONFIG
-    held, grid = _grid_key(norm, f)
-    entry = _NORMS.pop(id(held), None) or (held, {})
-    memo = _keep(_NORMS, _NORM_FIELDS, id(held), entry)[1]
+    _, held, grid = _grid_key(norm, f)
+    memo = (_NORMS.hit(id(held)) or _NORMS.keep(id(held), (held, {})))[1]
     key = (grid, f.support, f.norm, group, norm, weight, p, config.radial_order,
            config.radial_panels)
     hit = memo.get(key)

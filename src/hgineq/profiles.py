@@ -32,13 +32,9 @@ a row at a time, each row's band points by a 1-D scatter.
 
 A cutoff depends on its four radii only, so every field, scan entry and
 report that carries the same cutoff shares its stack on a memoized radial
-node array (:func:`~hgineq.quadrature.is_radial_node_set`).  The last
-``_CUTOFF_ENTRIES`` such stacks are kept, each ``(order + 1) x nodes``
-floats: the seven default scan carriers and the corpus annulus, each on its
-paired full and coarse node set, and sigma's annulus on its full and its
-coarse set, make 10 (~0.9 MB).  No other piece is kept: exp-power cores
-depend on ``(p, alpha, beta)`` and corpus bumps are random, so neither
-recurs.
+node array (:func:`~hgineq.quadrature.is_radial_node_set`).  No other piece
+is kept: exp-power cores depend on ``(p, alpha, beta)`` and corpus bumps
+are random, so neither recurs.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ from math import comb
 import numpy as np
 
 from .errors import InvalidParameterError
+from .memo import Memo, read_only
 from .quadrature import is_radial_node_set
 
 # exp(-1/t) underflows to exactly 0.0 for t <= 1/745; padding the plateau
@@ -393,20 +390,9 @@ def smooth_step_profile(lo, hi, rising=True):
     return RadialProfile(stack, label=f"{kind}[{lo:g},{hi:g}]")
 
 
-def _keep(cache, size, ids, entry):
-    """Store ``entry`` as the newest of ``cache``, a dict keyed by the ids
-    of the objects ``entry`` holds (so the ids stay theirs), keep the
-    newest ``size`` entries, and return it.  A lookup pops its entry."""
-    cache[ids] = entry
-    if len(cache) > size:
-        del cache[next(iter(cache))]
-    return entry
-
-
-#: cutoff stacks kept: 10 cover the paired node set of each default scan
+#: cutoff stacks: 10 cover the paired node set of each default scan
 #: carrier and the corpus annulus, and sigma's annulus on its two sets
-_CUTOFF_ENTRIES = 16
-_CUTOFF_STACKS = {}  # (radii, id(node array)) -> (node array, read-only stack)
+_CUTOFF_STACKS = Memo(16)  # (radii, id(node array)) -> (node array, read-only stack)
 
 
 def annulus_cutoff(lo, lo_top, hi_bottom, hi):
@@ -453,10 +439,9 @@ def annulus_cutoff(lo, lo_top, hi_bottom, hi):
         if not is_radial_node_set(r):
             return band_stack(r, order)
         ids = radii + (id(r),)
-        entry = _CUTOFF_STACKS.pop(ids, None)
+        entry = _CUTOFF_STACKS.hit(ids)
         if entry is None or len(entry[1]) <= order:
-            entry = (r, band_stack(r, order))
-            entry[1].flags.writeable = False
-        return _keep(_CUTOFF_STACKS, _CUTOFF_ENTRIES, ids, entry)[1][:order + 1]
+            entry = _CUTOFF_STACKS.keep(ids, (r, read_only(band_stack(r, order))))
+        return entry[1][:order + 1]
 
     return RadialProfile(stack, support=(lo, hi), label=f"cutoff[{lo:g},{hi:g}]")

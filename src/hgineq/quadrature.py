@@ -3,8 +3,7 @@
 Radial integrals use composite Gauss-Legendre panels placed uniformly in
 ``log r``, which resolves integrands spread over dozens of decades (the
 panel count automatically grows with the log-width of the interval).
-Node sets are memoized (:func:`radial_log_nodes`, :func:`polar_radial_pair`
-and :func:`sphere_rule` keep a bounded number of read-only arrays), so every
+Node sets are memoized as read-only arrays (:mod:`hgineq.memo`), so every
 integral over the same interval at the same order sees the same array object.
 The polar route's full and coarse radial sets are stored once per interval
 and order, as one paired array (the full set, then the coarse set at half
@@ -56,6 +55,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidParameterError
+from .memo import bounded, read_only
 
 #: points per summation of a box or Monte Carlo chunk; its size fixes the rounding
 _EVAL_CHUNK = 200_000
@@ -116,13 +116,10 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-_leggauss_cache = {}
 
-
+@bounded(64)
 def _gauss(order):
-    if order not in _leggauss_cache:
-        _leggauss_cache[order] = leggauss(order)
-    return _leggauss_cache[order]
+    return tuple(map(read_only, leggauss(order)))
 
 
 def effective_panels(r_lo, r_hi, panels):
@@ -147,10 +144,8 @@ def is_radial_node_set(r):
 
 def _frozen(nodes, weights):
     """``(nodes, weights)`` made read-only, the nodes registered."""
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    _RADIAL_NODE_SETS[id(nodes)] = nodes
-    return nodes, weights
+    _RADIAL_NODE_SETS[id(nodes)] = read_only(nodes)
+    return nodes, read_only(weights)
 
 
 def _log_panels(r_lo, r_hi, order, panels):
@@ -165,7 +160,7 @@ def _log_panels(r_lo, r_hi, order, panels):
     return (0.5 * (hi + lo) + half * xg).ravel(), (half * wg).ravel()
 
 
-@functools.lru_cache(maxsize=64)
+@bounded(64)
 def radial_log_nodes(r_lo, r_hi, order, panels):
     """Nodes and weights of panelwise Gauss-Legendre, log-spaced panels.
 
@@ -191,7 +186,7 @@ def _polar_panels(r_lo, r_hi, order, panels):
             np.concatenate([0.5 * r_b * wg, weights]))
 
 
-@functools.lru_cache(maxsize=32)
+@bounded(32)
 def polar_radial_pair(r_lo, r_hi, order, panels):
     """Both radial node sets of the polar route on ``[r_lo, r_hi]`` in one
     array: ``(pair, full, coarse)``, each ``(nodes, weights)``.
@@ -265,7 +260,7 @@ def _cube_face_rule(weights, order):
     return np.concatenate(nodes), np.concatenate(sigma)
 
 
-@functools.lru_cache(maxsize=64)
+@bounded(64)
 def sphere_rule(norm, order):
     """Nodes ``w_j`` on the unit sphere ``{N = 1}`` of ``norm`` and their
     cone-measure weights ``sigma_j``: ``(nodes (S, n), weights (S,))``.
@@ -288,9 +283,7 @@ def sphere_rule(norm, order):
         r = norm(x)
         nodes = x * r[:, None] ** (-w)
         sigma = wu * np.prod(a) * ((u * u) @ w) * r ** (-w.sum())
-    nodes.flags.writeable = False
-    sigma.flags.writeable = False
-    return nodes, sigma
+    return read_only(nodes), read_only(sigma)
 
 
 def integrate_radial(fn, r_lo, r_hi, config=DEFAULT_CONFIG):
@@ -353,8 +346,7 @@ def _box_pass(fn, bounds, points, even):
     rows = max(1, _BLOCK // width)
     template = np.empty((min(rows, len(lead_nodes)), width, n))
     template[..., 1:] = tail
-    points = template.view()
-    points.flags.writeable = False
+    points = read_only(template.view())
     vals = np.empty((min(chunk, len(lead_nodes)), width))
     total = 0.0
     for start in range(0, len(lead_nodes), chunk):

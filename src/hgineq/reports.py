@@ -16,7 +16,6 @@ gets its own ``params`` and ``detail``.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -38,6 +37,7 @@ from .constants import (
     validate_p,
 )
 from .errors import InvalidParameterError
+from .memo import bounded
 from .quadrature import DEFAULT_CONFIG
 
 _EPS_CUSHION = 32.0 * np.finfo(float).eps
@@ -311,10 +311,7 @@ def _side(terms):
 
 
 #: points kept: a corpus field's grid (41 points) on three groups, twice over
-_PLAN_ENTRIES = 256
-
-
-@functools.lru_cache(maxsize=_PLAN_ENTRIES, typed=True)
+@bounded(256, typed=True)
 def _plan(check_id, q, **params):
     """Row ``check_id``'s :class:`Sides` at ``Q = q`` and ``params``, the
     derivative orders its norms and combos take (in table order), and its

@@ -3,7 +3,7 @@ import pytest
 
 from hgineq import (
     QuadratureConfig,
-    clear_sphere_measure_cache,
+    clear_caches,
     default_norm,
     make_norm,
     parse_group,
@@ -56,7 +56,7 @@ def aniso12():
 
 @pytest.fixture(autouse=True, scope="session")
 def _fresh_cache():
-    clear_sphere_measure_cache()
+    clear_caches()
     yield
 
 

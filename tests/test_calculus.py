@@ -16,6 +16,7 @@ from hgineq import (
     SingularPointError,
     SingularSupportError,
     annulus_cutoff,
+    clear_caches,
     clear_sphere_measure_cache,
     constant_profile,
     default_norm,
@@ -37,9 +38,9 @@ from hgineq import (
     weighted_combo_l2,
     weighted_lp_norm,
 )
-from hgineq import calculus, profiles, quadrature, reports
+from hgineq import calculus, profiles, reports
 from hgineq.io import render_document
-from hgineq.calculus import _SIGMA_CACHE, _STACK_ENTRIES, _STACKS, _profile_stack
+from hgineq.calculus import _STACKS, _profile_stack
 from hgineq.norms import QuasiNormSpec
 from hgineq.quadrature import radial_log_nodes
 from hgineq.reports import evaluate
@@ -211,9 +212,9 @@ def test_the_derived_field_memo_stays_bounded_and_rebuilds_the_same_field(r3):
     f = _bump(norm)
     first = nth_radial_derivative(group, norm, f, 2)
     want = weighted_lp_norm(group, norm, first, 0.5, 2.0)
-    for i in range(3 * calculus._DERIVED_ENTRIES):
+    for i in range(3 * calculus._DERIVED.size):
         nth_radial_derivative(group, norm, _bump(norm, field_id=f"other{i}"), 1 + i % 3)
-        assert len(calculus._DERIVED) <= calculus._DERIVED_ENTRIES
+        assert len(calculus._DERIVED) <= calculus._DERIVED.size
     again = nth_radial_derivative(group, norm, f, 2)
     assert again is not first
     assert (again.field_id, again.support, again.profile.root()) == (
@@ -221,7 +222,7 @@ def test_the_derived_field_memo_stays_bounded_and_rebuilds_the_same_field(r3):
     calculus._NORMS.clear()
     assert weighted_lp_norm(group, norm, again, 0.5, 2.0) == want
     report = l2_identity_report(group, norm, f, 0.0, 2)
-    for i in range(3 * calculus._DERIVED_ENTRIES):
+    for i in range(3 * calculus._DERIVED.size):
         nth_radial_derivative(group, norm, _bump(norm, field_id=f"other{i}"), 1)
     calculus._NORMS.clear()
     assert render_json([l2_identity_report(group, norm, f, 0.0, 2)]) == render_json([report])
@@ -266,7 +267,7 @@ def test_sphere_measure_memoization(config):
     # keyed by value: equal objects built anew share the entry
     assert sphere_measure(parse_group("r:3"), default_norm(parse_group("r:3")),
                           config=config) is first
-    assert list(_SIGMA_CACHE) == [(group, norm, config.digest())]
+    assert calculus._sphere_measure.cache_info().currsize == 1
 
 
 def test_sphere_measure_of_close_weights_is_their_own(config):
@@ -536,8 +537,8 @@ def test_stack_cache_and_node_memo_stay_bounded(r3, config):
         f = _bump(norm, lo=0.2 + 0.001 * i)  # a new root and new node sets each time
         weighted_lp_norm(group, norm, nth_radial_derivative(group, norm, f, 1), 0.0, 2.0,
                          config)
-    assert len(_STACKS) <= _STACK_ENTRIES
-    assert len(calculus._NORMS) <= calculus._NORM_FIELDS
+    assert len(_STACKS) <= _STACKS.size
+    assert len(calculus._NORMS) <= calculus._NORMS.size
     info = radial_log_nodes.cache_info()
     assert info.currsize <= info.maxsize
 
@@ -727,12 +728,7 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
         out = {}
         for i in order:
             if clear:
-                calculus._NORMS.clear()
-                calculus._INTEGRANDS.clear()
-                calculus._DERIVED.clear()
-                reports._plan.cache_clear()
-                _STACKS.clear()
-                profiles._CUTOFF_STACKS.clear()
+                clear_caches()
             check, point = _GRID[i]
             out[i] = _report(check, group, norm, f, point)
         return out
@@ -740,20 +736,6 @@ def test_grid_order_and_cleared_caches_give_the_same_reports(name, radial_fracti
     forward = run(range(len(_GRID)))
     assert run(reversed(range(len(_GRID)))) == forward
     assert run(range(len(_GRID)), clear=True) == forward
-
-
-def _clear_every_cache():
-    calculus._NORMS.clear()
-    calculus._INTEGRANDS.clear()
-    calculus._DERIVED.clear()
-    reports._plan.cache_clear()
-    calculus._SAMPLES.clear()
-    _STACKS.clear()
-    profiles._CUTOFF_STACKS.clear()
-    clear_sphere_measure_cache()
-    for memo in (quadrature.radial_log_nodes, quadrature.polar_radial_pair,
-                 quadrature.sphere_rule):
-        memo.cache_clear()
 
 
 def test_a_quasi_radial_ckn_report_takes_one_integrand_per_field(heis, monkeypatch):
@@ -806,7 +788,7 @@ def test_sweep_order_and_cleared_integrands_give_the_same_reports(kind):
     forward = run(range(len(_SWEEP)))
     assert run(range(len(_SWEEP)), clear=calculus._INTEGRANDS.clear) == forward
     assert run(reversed(range(len(_SWEEP)))) == forward
-    assert run(range(len(_SWEEP)), clear=_clear_every_cache) == forward
+    assert run(range(len(_SWEEP)), clear=clear_caches) == forward
 
 
 @pytest.mark.parametrize("name", ["r:3", "heis1"])
@@ -823,9 +805,9 @@ def test_a_scan_and_a_deep_identity_read_the_same_with_every_cache_cleared(name)
                                     config=deep, mode="analytic")
         return render_document(scan.to_dict()), render_json([report])
 
-    _clear_every_cache()
+    clear_caches()
     cold = run()
     assert len(profiles._CUTOFF_STACKS) > 1
     assert run() == cold
-    _clear_every_cache()
+    clear_caches()
     assert run() == cold

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,7 +96,8 @@ def test_a_spec_hashes_its_value_in_every_process():
         proc = subprocess.run(
             [sys.executable, "-c", "from hgineq import GroupSpec, QuasiNormSpec; " + script],
             input=pickle.dumps(norm), capture_output=True, check=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed))
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=str(Path(__file__).parents[1] / "src")))
         assert proc.stdout.split() == [b"True", b"True", b"1"]
 
 

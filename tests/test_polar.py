@@ -37,9 +37,8 @@ from hgineq import (
     weighted_lp_norm,
 )
 from hgineq import calculus
-from hgineq.calculus import _BLOCK, _SAMPLE_ENTRIES, _SAMPLES, _grid_values, _on_orbits
+from hgineq.calculus import _BLOCK, _SAMPLES, _grid_values, _on_orbits
 from hgineq.calculus import (
-    _INTEGRAND_ENTRIES,
     _INTEGRANDS,
     _ORBIT_FD_STENCILS,
     _compatible,
@@ -600,7 +599,7 @@ def test_sample_cache_stays_bounded_and_read_only(r3, config):
     for i in range(200):
         g = generic_field(f.values, (0.2 + 0.001 * i, 5.0), norm=norm)
         weighted_lp_norm(group, norm, g, 0.0, 2.0, config)
-    assert len(_SAMPLES) <= _SAMPLE_ENTRIES
+    assert len(_SAMPLES) <= _SAMPLES.size
     for entry in _SAMPLES.values():
         with pytest.raises(ValueError):
             entry[-1][0, 0] = 0.0
@@ -693,7 +692,7 @@ def test_integrand_memo_stays_bounded_and_read_only(r3, config):
         for g in (generic_field(f.values, support, norm=norm),
                   radial_field(radial.profile, norm, support)):
             weighted_lp_norm(group, norm, g, 0.0, 2.0, config)
-    assert len(_INTEGRANDS) <= _INTEGRAND_ENTRIES
+    assert len(_INTEGRANDS) <= _INTEGRANDS.size
     for key, (held, integrand) in _INTEGRANDS.items():
         assert tuple(map(id, held[1:])) == key[-2:]  # the node arrays keyed on are held
         with pytest.raises(ValueError):

@@ -415,10 +415,10 @@ def test_a_cutoff_stack_is_shared_and_cannot_be_written(empty_cutoff_memo):
 
 def test_the_cutoff_memo_keeps_at_most_its_bound(empty_cutoff_memo):
     cut = annulus_cutoff(0.2, 0.4, 2.5, 5.0)
-    for order in range(2, P._CUTOFF_ENTRIES + 12):
+    for order in range(2, P._CUTOFF_STACKS.size + 12):
         cut.derivatives(radial_log_nodes(0.2, 5.0, order, 8)[0], 1)
-        assert len(empty_cutoff_memo) <= P._CUTOFF_ENTRIES
-    assert len(empty_cutoff_memo) == P._CUTOFF_ENTRIES
+        assert len(empty_cutoff_memo) <= P._CUTOFF_STACKS.size
+    assert len(empty_cutoff_memo) == P._CUTOFF_STACKS.size
 
 
 def test_a_read_only_view_of_changing_data_is_evaluated_fresh(empty_cutoff_memo):

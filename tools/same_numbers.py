@@ -59,6 +59,9 @@ COMMANDS = [
     " --count 6 --seed 1 --radial-fraction 0 --mode orbit_fd",
     "verify --group heis1 --check ckn,hardy,l2-identity --p 2 --alpha=-0.5,0,0.5 --beta 0.5,1"
     " --k 1,2 --count 6 --seed 1 --radial-fraction 0 --mode orbit_fd",
+    # a quasi-radial field on a sphere pass: an orbit-FD identity takes its
+    # sampled grid beside the orbit finite differences of its derivatives
+    "identity-check --group heis1 --count 3 --seed 2 --k 1,2 --alpha=0 --mode orbit_fd",
 ]
 
 
