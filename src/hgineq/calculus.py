@@ -12,12 +12,12 @@ combination ``sum_j w_j x_j X_j`` (see :mod:`hgineq.groups`).
 
 Three evaluation strategies coexist and are cross-checked in the tests:
 
-- *profile*: for quasi-radial fields ``g(N(x))`` the orbit profile is
-  ``g`` itself, so ``R^k f = g^(k)(N(x))`` exactly — for any homogeneous
-  quasi-norm, smooth or not.
-- *expansion*: for product fields ``g(N(x)) q(x)`` the orbit profile is
-  ``sum_m c_m mono_m(xhat) t^{d_m} g(t)`` with weighted degrees ``d_m``,
-  differentiated termwise; ``R^k f`` stays a product field of order ``k``.
+- *profile*: a product field ``g(N(x)) q(x)`` has the orbit profile
+  ``sum_m c_m mono_m(xhat) t^{d_m} g(t)`` (weighted degrees ``d_m``),
+  differentiated termwise; a quasi-radial field is the case ``q = 1``,
+  where ``R^k f = g^(k)(N(x))`` for any homogeneous quasi-norm, smooth or
+  not.  ``R^k f`` is the same field at order ``k``.
+- *gradient contraction*: ``R f`` by the sum above, for a field with a gradient.
 - *orbit finite differences*: central stencils along the orbit with
   Richardson extrapolation; needs only field values.
 
@@ -68,7 +68,7 @@ from .errors import (
     SingularSupportError,
     UnsupportedDomainError,
 )
-from .fields import ScalarField, _single_point_aware, orbit_profiles, product_field, radial_field
+from .fields import ScalarField, _profile_field, _single_point_aware, orbit_profiles
 from .memo import Memo, bounded, read_only
 from .profiles import annulus_cutoff
 from .quadrature import (
@@ -175,11 +175,10 @@ _DERIVED = Memo(8)  # (id(f), k) -> (f, R^k f)
 def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
     """The field ``R^k f`` with respect to ``norm``.
 
-    ``mode="auto"`` picks the best available strategy (profile stack for
-    quasi-radial fields, orbit expansion for product fields, gradient
-    contraction for ``k=1``, orbit finite differences otherwise);
-    ``"analytic"`` refuses to fall back on finite differences;
-    ``"orbit_fd"`` forces them.
+    ``mode="auto"`` picks the best available strategy (the profile field
+    at order ``f.order + k`` in the field's own norm, gradient contraction
+    for ``k=1``, orbit finite differences otherwise); ``"analytic"``
+    refuses to fall back on finite differences; ``"orbit_fd"`` forces them.
     """
     if mode not in _MODES:
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -189,13 +188,10 @@ def nth_radial_derivative(group, norm, f, k=1, mode="auto"):
         return f
     tag = f"R^{k}[{f.field_id}]"
     if mode != "orbit_fd":
-        if f.is_quasi_radial and _compatible(f.norm, norm):
+        if f.structure in ("radial", "product") and _compatible(f.norm, norm):
             ids = (id(f), k)
-            return (_DERIVED.hit(ids) or _DERIVED.keep(ids, (f, radial_field(
-                f.profile.derivative(k), f.norm, support=f.support, field_id=tag))))[1]
-        if f.structure == "product" and _compatible(f.norm, norm):
-            return product_field(f.profile, f.poly, f.norm, support=f.support, field_id=tag,
-                                 order=f.order + k)
+            return (_DERIVED.hit(ids) or _DERIVED.keep(ids, (f, _profile_field(
+                f.profile, f.poly, f.norm, f.support, tag, f.order + k))))[1]
         if f.gradient is not None and k == 1:
             return ScalarField(
                 values=_gradient_contraction_values(group, norm, f),
@@ -527,8 +523,8 @@ def _one_node_pass(parts, sets, a0, p, expo):
     """
     (r, wr), (full_r, _), _ = sets
     # every part is quasi-radial in its own norm
-    vals = _integrand(parts[0][1].norm, parts, p, r, None, lambda: _combine(
-        parts, [_profile_stack(g.profile, r, 0)[0] for _, g, _ in parts], r, a0, p)) * r**expo
+    vals = _integrand(parts[0][1].norm, parts, p, r, None, lambda: _combine(parts, [
+        _profile_stack(g.profile, r, g.order)[-1] for _, g, _ in parts], r, a0, p)) * r**expo
     split = len(full_r)
     return float(np.dot(wr[:split], vals[:split])), float(np.dot(wr[split:], vals[split:]))
 

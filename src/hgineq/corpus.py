@@ -9,6 +9,7 @@ to exercise the orbit expansion and the polar-grid integration route.  The same
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -36,17 +37,15 @@ class CorpusSpec:
     complex_amplitudes: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
-        if self.count < 1:
-            raise InvalidParameterError("count must be >= 1")
+        for name, least in (("count", 1), ("seed", 0), ("max_bumps", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+                raise InvalidParameterError(f"{name} must be an integer >= {least}, not {value!r}")
         lo, hi = self.annulus
-        if not 0 < lo < hi:
-            raise InvalidParameterError("annulus must satisfy 0 < lo < hi")
+        if not 0 < lo < hi < math.inf:
+            raise InvalidParameterError("annulus must satisfy 0 < lo < hi < inf")
         if not 0.0 <= self.radial_fraction <= 1.0:
             raise InvalidParameterError("radial_fraction must lie in [0, 1]")
-        if self.max_bumps < 1:
-            raise InvalidParameterError("max_bumps must be >= 1")
 
 
 def _random_profile(rng, spec):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import weighted_lp_norm
+from .calculus import nth_radial_derivative, weighted_lp_norm
 from .constants import ckn_constant, validate_finite, validate_p
 from .errors import (
     DegenerateConstantError,
@@ -215,7 +215,7 @@ def attained_quotient(group, norm, family, config=None):
     config = config or DEFAULT_CONFIG
     f = extremizer_field(group, norm, family)
     p = family.p
-    rf = radial_field(f.profile.derivative(1), norm, field_id=f.field_id + "|R")
+    rf = nth_radial_derivative(group, norm, f, 1)
     # Rf first: its norm builds the root stack to order 1, and f's reuse it
     b_val, b_err = weighted_lp_norm(group, norm, rf, family.alpha, p, config)
     a_val, a_err = weighted_lp_norm(group, norm, f, family.gamma / p, p, config)

@@ -7,17 +7,19 @@ callables with structural metadata the calculus layer exploits:
                and a quasi-norm; radial derivatives and weighted norms of
                these reduce to exact one-dimensional operations.
 - ``product``  fields ``f = g(N(x)) * q(x)`` with a polynomial factor
-               ``q``, and their radial derivatives ``R^k f``: along the
-               orbit through ``w`` on ``{N = 1}``, ``R^k f(D_r w) =
-               sum_m c_m w^(e_m) d^k/dr^k [r^(d_m) g(r)]`` with the
-               weighted degrees ``d_m`` of ``q`` (see :func:`orbit_profiles`).
+               ``q``: along the orbit through ``w`` on ``{N = 1}``,
+               ``R^k f(D_r w) = sum_m c_m w^(e_m) d^k/dr^k [r^(d_m) g(r)]``
+               with the weighted degrees ``d_m`` of ``q`` (see
+               :func:`orbit_profiles`); a radial field is the case ``q = 1``.
 - ``generic``  plain callables with a declared support annulus.
 
-All fields vanish identically outside their declared support ``(r0, r1)``
+One constructor (:func:`_profile_field`) builds both profile structures,
+and ``R^k`` of either keeps ``g`` and raises ``order`` by ``k``.  All
+fields vanish identically outside their declared support ``(r0, r1)``
 (measured in the field's own norm), which is what makes weighted-norm
-integrands safe near the origin.  The radial and product evaluators share
-one masked path (:func:`_on_support`); a block of points that lies wholly
-in the support, as the polar grid's orbit blocks usually do, is evaluated
+integrands safe near the origin.  Profile fields are evaluated on one
+masked path (:func:`_on_support`); a block of points that lies wholly in
+the support, as the polar grid's orbit blocks usually do, is evaluated
 whole, with the same bits as the masked path.
 """
 
@@ -105,10 +107,10 @@ class ScalarField:
 
     ``values`` maps ``(..., n) -> (...)``; ``gradient`` (may be ``None``)
     maps ``(..., n) -> (..., n)``.  ``support`` is an annulus in the
-    field's own ``norm``.  A product field with ``order = k`` is
-    ``R^k [g(N) q]``; a field made by orbit finite differences records
-    ``orbit_fd = (base, k, norm)``: it is ``R^k base`` along the orbits
-    of ``norm``.
+    field's own ``norm``.  A radial or product field with ``order = k``
+    is ``R^k [g(N) q]`` (``q = 1`` if ``poly`` is None); a field made by
+    orbit finite differences records ``orbit_fd = (base, k, norm)``: it is
+    ``R^k base`` along the orbits of ``norm``.
     """
 
     values: callable = field(repr=False)
@@ -160,9 +162,9 @@ def _on_support(fn, r, x, support, dtype, shape):
     return out
 
 
-def _profile_dtype(prof, support):
+def _profile_dtype(prof, support, order=0):
     r_probe = 1.0 if support is None else float(np.sqrt(support[0] * support[1]) or support[1] / 2)
-    return np.asarray(prof.derivatives(np.array([r_probe]), 0)).dtype
+    return np.asarray(prof.derivatives(np.array([r_probe]), order)).dtype
 
 
 def radial_field(profile, norm, support=None, field_id=""):
@@ -171,44 +173,7 @@ def radial_field(profile, norm, support=None, field_id=""):
     ``support`` defaults to the profile's own support and must be known
     one way or the other.
     """
-    sup = support if support is not None else profile.support
-    if sup is None:
-        raise UnsupportedDomainError("radial field needs a support annulus")
-    r0, r1 = float(sup[0]), float(sup[1])
-    if not 0.0 < r0 < r1:
-        raise InvalidParameterError("support must satisfy 0 < r0 < r1")
-
-    # probed on first use: a report on a quasi-radial field only ever
-    # evaluates the profile's stack on radial nodes, never these values
-    probed = []
-
-    def dtype():
-        if not probed:
-            probed.append(_profile_dtype(profile, (r0, r1)))
-        return probed[0]
-
-    def values(x):
-        r = norm(x)
-        return _on_support(lambda r, x: profile(r), r, x, (r0, r1), dtype(), r.shape)
-
-    def gradient(r, x):
-        return profile.derivatives(r, 1)[1][:, None] * norm.gradient(x)
-
-    grad = None
-    if norm.smooth:
-
-        def grad(x):
-            return _on_support(gradient, norm(x), x, (r0, r1), dtype(), x.shape)
-
-    return ScalarField(
-        values=_single_point_aware(values),
-        gradient=None if grad is None else _single_point_aware(grad),
-        support=(r0, r1),
-        field_id=field_id or f"radial[{profile.label}]",
-        structure="radial",
-        norm=norm,
-        profile=profile,
-    )
+    return _profile_field(profile, None, norm, support, field_id, 0)
 
 
 def _falling(d, i):
@@ -237,18 +202,39 @@ def orbit_profiles(profile, degs, k, r, stack=None):
 def product_field(profile, poly, norm, support=None, field_id="", order=0):
     """Field ``f(x) = g(N(x)) * q(x)`` with polynomial ``q``, or with
     ``order = k`` its radial derivative ``R^k f`` (which has no gradient)."""
-    if poly.dim != norm.group.dim:
+    return _profile_field(profile, poly, norm, support, field_id, order)
+
+
+def _profile_field(profile, poly, norm, support, field_id, order):
+    """``R^order [g(N) q]`` in ``norm``, with ``q = 1`` (``g^(order)(N)``,
+    whose gradient is ``g^(order + 1)(N) grad N``) when ``poly`` is None;
+    a product field has a gradient at order 0 only."""
+    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 0:
+        raise InvalidParameterError("order must be a nonnegative int")
+    structure = "radial" if poly is None else "product"
+    if poly is not None and poly.dim != norm.group.dim:
         raise InvalidParameterError("polynomial dimension does not match the group")
     sup = support if support is not None else profile.support
     if sup is None:
-        raise UnsupportedDomainError("product field needs a support annulus")
+        raise UnsupportedDomainError(f"{structure} field needs a support annulus")
     r0, r1 = float(sup[0]), float(sup[1])
     if not 0.0 < r0 < r1:
         raise InvalidParameterError("support must satisfy 0 < r0 < r1")
-    dtype = np.result_type(_profile_dtype(profile, (r0, r1)), np.asarray(poly.coeffs).dtype)
-    degs = poly.weighted_degrees(norm.group.weights)
+    order = int(order)
+    degs = None if poly is None else poly.weighted_degrees(norm.group.weights)
+
+    # a product field is complex, as its coefficients are; a quasi-radial
+    # one is probed on first use, as its reports evaluate stacks, not values
+    dtypes = [] if poly is None else [np.dtype(complex)]
+
+    def dtype():
+        if not dtypes:
+            dtypes.append(_profile_dtype(profile, (r0, r1), order))
+        return dtypes[0]
 
     def on_support(r, x):
+        if poly is None:
+            return profile.derivatives(r, order)[order]
         if order == 0:
             return profile(r) * poly(x)
         # x^e = r^d w^e on the orbit through w = D_(1/r) x
@@ -257,25 +243,27 @@ def product_field(profile, poly, norm, support=None, field_id="", order=0):
 
     def values(x):
         r = norm(x)
-        return _on_support(on_support, r, x, (r0, r1), dtype, r.shape)
+        return _on_support(on_support, r, x, (r0, r1), dtype(), r.shape)
 
     def gradient(r, x):
-        stack = profile.derivatives(r, 1)
+        stack = profile.derivatives(r, order + 1)
+        if poly is None:
+            return stack[order + 1][:, None] * norm.gradient(x)
         return ((stack[1] * poly(x))[:, None] * norm.gradient(x)
                 + stack[0][:, None] * poly.gradient(x))
 
     grad = None
-    if norm.smooth and order == 0:
+    if norm.smooth and (poly is None or order == 0):
 
         def grad(x):
-            return _on_support(gradient, norm(x), x, (r0, r1), dtype, x.shape)
+            return _on_support(gradient, norm(x), x, (r0, r1), dtype(), x.shape)
 
     return ScalarField(
         values=_single_point_aware(values),
         gradient=None if grad is None else _single_point_aware(grad),
         support=(r0, r1),
-        field_id=field_id or f"product[{profile.label}]",
-        structure="product",
+        field_id=field_id or f"{structure}[{profile.label}]",
+        structure=structure,
         norm=norm,
         profile=profile,
         poly=poly,
@@ -307,17 +295,14 @@ def dilate_field(group, f, lam):
         raise InvalidParameterError("dilation parameter must be positive")
     new_sup = None if f.support is None else (f.support[0] / lam, f.support[1] / lam)
     tag = f"{f.field_id}|dil{lam:g}"
-    if f.structure == "radial":
-        return radial_field(f.profile.scale_argument(lam), f.norm, support=new_sup, field_id=tag)
-    if f.structure == "product":
-        # R^k (f o D_lam) = lam^k (R^k f) o D_lam
-        degs = f.poly.weighted_degrees(group.weights)
-        coeffs = tuple(c * lam ** (d - f.order) for c, d in zip(f.poly.coeffs, degs))
-        poly = PolyFactor(f.poly.exponents, coeffs)
-        return product_field(
-            f.profile.scale_argument(lam), poly, f.norm, support=new_sup, field_id=tag,
-            order=f.order,
-        )
+    if f.structure in ("radial", "product"):
+        prof, poly, order = f.profile, f.poly, f.order
+        if poly is None:  # R^k f = g^(k)(N), whose dilation is g^(k)(lam N)
+            prof, order = prof.derivative(order), 0
+        else:  # R^k (f o D_lam) = lam^k (R^k f) o D_lam
+            terms = zip(poly.coeffs, poly.weighted_degrees(group.weights))
+            poly = PolyFactor(poly.exponents, tuple(c * lam ** (d - order) for c, d in terms))
+        return _profile_field(prof.scale_argument(lam), poly, f.norm, new_sup, tag, order)
     w = group.weight_array()
 
     def values(x):

@@ -20,6 +20,7 @@ from hgineq import (
     clear_sphere_measure_cache,
     constant_profile,
     default_norm,
+    dilate_field,
     gaussian_profile,
     generic_field,
     integrate_box,
@@ -177,8 +178,33 @@ def test_a_repeated_order_returns_the_kept_field(r3):
     fields = [nth_radial_derivative(group, norm, f, k) for k in (1, 2, 1, 2)]
     assert fields[2] is fields[0] and fields[3] is fields[1]
     assert [g.field_id for g in fields[:2]] == ["R^1[bump]", "R^2[bump]"]
-    assert fields[0].profile.root() == (f.profile.root()[0], 1)
-    assert fields[1].profile.root() == (f.profile.root()[0], 2)
+    assert [(g.order, g.profile is f.profile) for g in fields[:2]] == [(1, True), (2, True)]
+
+
+def test_a_repeated_product_order_returns_the_kept_field(r3):
+    group, norm = r3
+    q = PolyFactor(((1, 0, 0), (0, 2, 0)), (1.0, 0.5j))
+    f = product_field(_bump(norm).profile, q, norm, field_id="prod")
+    fields = [nth_radial_derivative(group, norm, f, k) for k in (1, 2, 1, 2)]
+    assert fields[2] is fields[0] and fields[3] is fields[1]
+    assert [(g.field_id, g.order, g.profile is f.profile, g.poly is q) for g in fields[:2]] == [
+        ("R^1[prod]", 1, True, True), ("R^2[prod]", 2, True, True)]
+    assert nth_radial_derivative(group, norm, fields[0], 1).order == 2
+
+
+def test_building_a_product_derivative_evaluates_no_profile(r3, monkeypatch):
+    group, norm = r3
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=4, radial_fraction=0.0))[0]
+    orig, calls = RadialProfile.derivatives, []
+
+    def counting(self, r, order):
+        calls.append(order)
+        return orig(self, r, order)
+
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    built = [product_field(f.profile, f.poly, norm), dilate_field(group, f, 1.3),
+             *(nth_radial_derivative(group, norm, f, k) for k in (1, 2, 3))]
+    assert [g.order for g in built] == [0, 0, 1, 2, 3] and calls == []
 
 
 def test_the_memo_keeps_fields_apart(r3):
@@ -191,20 +217,23 @@ def test_the_memo_keeps_fields_apart(r3):
         group, norm, rf, 0.0, 2.0)
 
 
-def test_the_memo_serves_only_quasi_radial_fields_in_their_own_norm(r3):
+def test_the_memo_serves_only_profile_fields_in_their_own_norm(r3):
     group, norm = r3
-    f = _bump(norm)
-    kept = nth_radial_derivative(group, norm, f, 1)
-    entries = dict(calculus._DERIVED)
-    fd = nth_radial_derivative(group, norm, f, 1, mode="orbit_fd")
-    assert fd is not kept and fd.structure == "generic" and fd.orbit_fd == (f, 1, norm)
     cube = make_norm(group, "max")
-    other = nth_radial_derivative(group, cube, f, 1)
-    assert other is not kept and other.structure == "generic"
+    calculus._DERIVED.clear()
+    f = _bump(norm)
     prod = product_field(f.profile, PolyFactor(((1, 0, 0),), (1.0,)), norm)
-    rp = [nth_radial_derivative(group, norm, prod, 1) for _ in range(2)]
-    assert rp[0] is not rp[1] and rp[0].structure == "product"
-    assert calculus._DERIVED == entries
+    for g in (f, prod):
+        kept = [nth_radial_derivative(group, norm, g, 1) for _ in range(2)]
+        assert kept[0] is kept[1] and (kept[0].structure, kept[0].order) == (g.structure, 1)
+        entry = calculus._DERIVED.hit((id(g), 1))
+        assert entry[0] is g and entry[1] is kept[0]
+        fd = nth_radial_derivative(group, norm, g, 1, mode="orbit_fd")
+        assert fd is not kept[0] and fd.structure == "generic" and fd.orbit_fd == (g, 1, norm)
+        other = nth_radial_derivative(group, cube, g, 1)
+        assert other is not kept[0] and other.structure == "generic"
+    # the other norm and the orbit finite differences were built, not kept
+    assert len(calculus._DERIVED) == 2
 
 
 def test_the_derived_field_memo_stays_bounded_and_rebuilds_the_same_field(r3):
@@ -747,7 +776,7 @@ def test_a_quasi_radial_ckn_report_takes_one_integrand_per_field(heis, monkeypat
     stack = calculus._profile_stack
 
     def counting(prof, r, order):
-        orders.append(prof.root()[1])
+        orders.append(prof.root()[1] + order)
         return stack(prof, r, order)
 
     monkeypatch.setattr(calculus, "_profile_stack", counting)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,14 @@ def test_corpus_spec_validation():
         with pytest.raises(InvalidParameterError):
             CorpusSpec(seed=seed)
     assert CorpusSpec(seed=np.int64(2)).seed == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"count": 2.5}, {"count": math.inf}, {"count": True}, {"seed": True}, {"max_bumps": 2.5},
+    {"max_bumps": True}, {"annulus": (0.2, math.inf)}, {"annulus": (0.2, math.nan)}])
+def test_corpus_spec_refuses_non_integer_counts_and_an_unbounded_annulus(bad):
+    with pytest.raises(InvalidParameterError):
+        CorpusSpec(**bad)
 
 
 def test_corpus_seed_changes_fields(r3):

@@ -6,6 +6,7 @@ from hgineq import (
     InvalidParameterError,
     PolyFactor,
     UnsupportedDomainError,
+    clear_caches,
     default_norm,
     dilate,
     dilate_field,
@@ -18,6 +19,7 @@ from hgineq import (
     parse_group,
     product_field,
     radial_field,
+    weighted_lp_norm,
 )
 from hgineq.fields import _profile_dtype, orbit_profiles
 from hgineq.quadrature import sphere_rule
@@ -312,6 +314,37 @@ def test_evaluators_match_the_masked_oracle(name, kind):
             assert_same(f.values(x), _ref_values(f, x), (f.field_id, label))
             if f.gradient is not None:
                 assert_same(f.gradient(x), _ref_gradient(f, x), (f.field_id, label))
+
+
+@pytest.mark.parametrize("name", ["r:3", "heis1", "aniso:1,2"])
+def test_a_quasi_radial_derivative_has_the_bits_of_a_field_on_the_derived_profile(name):
+    group = parse_group(name)
+    norm = default_norm(group)
+    f = make_corpus(group, norm, CorpusSpec(count=1, seed=4, annulus=(0.3, 3.0)))[0]
+    assert f.is_quasi_radial
+    for k in (1, 2):
+        rk = nth_radial_derivative(group, norm, f, k)
+        hand = radial_field(f.profile.derivative(k), norm, support=f.support, field_id="hand")
+        assert (rk.order, rk.profile is f.profile, hand.order) == (k, True, 0)
+        assert rk.gradient is not None and hand.gradient is not None
+        for label, x in _blocks(group, norm, f.support).items():
+            assert_same(rk.values(x), hand.values(x), (k, label))
+            assert_same(rk.gradient(x), hand.gradient(x), (k, label))
+            dilated = [dilate_field(group, g, 1.3).values(x) for g in (rk, hand)]
+            assert_same(*dilated, (k, label))
+        norms = []
+        for g in (rk, hand):
+            clear_caches()
+            norms.append(weighted_lp_norm(group, norm, g, 0.5, 1.5))
+        assert norms[0] == norms[1]
+
+
+@pytest.mark.parametrize("order", [True, -1, 1.5])
+def test_a_product_field_refuses_a_bad_order(heis_pair, order):
+    g, n = heis_pair
+    q = PolyFactor(exponents=((1, 0, 0),), coeffs=(1.0,))
+    with pytest.raises(InvalidParameterError):
+        product_field(gaussian_profile(1.0), q, n, support=(0.5, 2.0), order=order)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)

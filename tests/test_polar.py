@@ -472,7 +472,7 @@ def _separate_passes(group, norm, f, parts, p, config):
         r, wr = polar_radial_nodes(r_lo, r_hi, order, config.radial_panels)
         acc = None
         for c, g, a in parts:
-            vals = g.profile.derivatives(r, 0)[0]
+            vals = g.profile.derivatives(r, g.order)[g.order]
             if a != a0:
                 vals = r ** (a0 - a) * vals
             if c != 1:

@@ -62,6 +62,9 @@ COMMANDS = [
     # a quasi-radial field on a sphere pass: an orbit-FD identity takes its
     # sampled grid beside the orbit finite differences of its derivatives
     "identity-check --group heis1 --count 3 --seed 2 --k 1,2 --alpha=0 --mode orbit_fd",
+    # R^1..R^3 of each product field, shared by three checks in its own norm
+    "verify --group heis1 --check higher,l2-identity,l2-sharp --count 3 --seed 6"
+    " --radial-fraction 0 --p 1.5,2 --theta 0.25 --k 1,2,3 --alpha=0.25",
 ]
 
 
