@@ -487,10 +487,13 @@ def _grid_key(norm, g):
     take ``"radial"`` / ``"product"``, keyed by root profile, orders,
     polynomial and norm; an orbit-FD field along ``norm`` ``"orbit_fd"``, by
     its base's values, order and norm; any other field ``"values"``, by its
-    values callable."""
+    values callable.  A quasi-radial field on ``g^(k)`` at ``order`` j is
+    ``g^(k + j)(N)``, keyed by ``k + j`` alone; a product field keeps the
+    two apart, as ``R^j [g^(k)(N) q]`` is not ``R^(k + j) [g(N) q]``."""
     if g.structure in ("radial", "product") and _compatible(g.norm, norm):
         root, k = g.profile.root()
-        return g.structure, root, (id(root), k, g.poly, g.order, g.norm)
+        orders = (k + g.order, 0) if g.poly is None else (k, g.order)
+        return g.structure, root, (id(root), *orders, g.poly, g.norm)
     if g.orbit_fd is not None and _compatible(g.orbit_fd[2], norm):
         base, k, orbit_norm = g.orbit_fd
         return "orbit_fd", base.values, (id(base.values), k, orbit_norm)

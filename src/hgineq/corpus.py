@@ -44,8 +44,9 @@ class CorpusSpec:
         lo, hi = self.annulus
         if not 0 < lo < hi < math.inf:
             raise InvalidParameterError("annulus must satisfy 0 < lo < hi < inf")
-        if not 0.0 <= self.radial_fraction <= 1.0:
-            raise InvalidParameterError("radial_fraction must lie in [0, 1]")
+        fraction = self.radial_fraction
+        if isinstance(fraction, (bool, np.bool_)) or not 0.0 <= fraction <= 1.0:
+            raise InvalidParameterError(f"radial_fraction must be a number in [0, 1], not {fraction!r}")
 
 
 def _random_profile(rng, spec):

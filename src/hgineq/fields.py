@@ -20,7 +20,11 @@ fields vanish identically outside their declared support ``(r0, r1)``
 integrands safe near the origin.  Profile fields are evaluated on one
 masked path (:func:`_on_support`); a block of points that lies wholly in
 the support, as the polar grid's orbit blocks usually do, is evaluated
-whole, with the same bits as the masked path.
+whole, with the same bits as the masked path.  ``N(x)`` and ``q(x)`` are
+evaluated per point, the radial factor once per run of equal consecutive
+radii (:func:`_per_radius`): an orbit row's points mostly lie at the same
+radius.  That gives the same bits because an entry of a profile's stack
+depends on its own radius only (see :class:`~hgineq.profiles.RadialProfile`).
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ class PolyFactor:
 
     exponents: tuple
     coeffs: tuple
+    _tops: tuple = field(init=False, repr=False, compare=False)  # highest power per coordinate
 
     def __post_init__(self):
         if len(self.exponents) != len(self.coeffs) or not self.exponents:
@@ -57,6 +62,7 @@ class PolyFactor:
             raise InvalidParameterError("exponents must be nonnegative integers")
         object.__setattr__(self, "exponents", tuple(tuple(int(v) for v in e) for e in self.exponents))
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "_tops", tuple(map(max, zip(*self.exponents))))
 
     @property
     def dim(self):
@@ -70,7 +76,7 @@ class PolyFactor:
         multiplication (``**`` on float arrays costs about 15 times as much)."""
         x = np.asarray(x, dtype=float)
         powers = []  # powers[i][d - 1] = x_i^d
-        for i, top in enumerate(np.max(self.exponents, axis=0)):
+        for i, top in enumerate(self._tops):
             powers.append([x[..., i]])
             for _ in range(1, top):
                 powers[i].append(powers[i][-1] * x[..., i])
@@ -162,6 +168,20 @@ def _on_support(fn, r, x, support, dtype, shape):
     return out
 
 
+def _per_radius(fn, r):
+    """``fn(r)`` for a function ``fn`` of 1-D radii whose row ``i`` depends
+    on ``r[i]`` alone: ``fn`` is called at the first radius of each run of
+    equal consecutive radii and its rows repeated along the runs, which
+    gives the bits of one plain call.  Orbit blocks of the polar grid hold
+    runs (``N(D_t w) == t`` at most nodes of a row); where runs are more
+    than half the radii, ``fn`` takes them all."""
+    starts = np.flatnonzero(r[1:] != r[:-1]) + 1
+    if 2 * (starts.size + 1) > r.size:
+        return fn(r)
+    starts = np.concatenate(([0], starts))
+    return np.repeat(fn(r[starts]), np.diff(starts, append=r.size), axis=0)
+
+
 def _profile_dtype(prof, support, order=0):
     r_probe = 1.0 if support is None else float(np.sqrt(support[0] * support[1]) or support[1] / 2)
     return np.asarray(prof.derivatives(np.array([r_probe]), order)).dtype
@@ -234,12 +254,13 @@ def _profile_field(profile, poly, norm, support, field_id, order):
 
     def on_support(r, x):
         if poly is None:
-            return profile.derivatives(r, order)[order]
+            return _per_radius(lambda s: profile.derivatives(s, order)[order], r)
         if order == 0:
-            return profile(r) * poly(x)
+            return _per_radius(profile, r) * poly(x)
         # x^e = r^d w^e on the orbit through w = D_(1/r) x
-        terms = poly.monomials(x) * r[:, None] ** -degs
-        return (terms * orbit_profiles(profile, degs, order, r)) @ np.asarray(poly.coeffs)
+        terms = poly.monomials(x) * _per_radius(lambda s: s[:, None] ** -degs, r)
+        profiles = _per_radius(lambda s: orbit_profiles(profile, degs, order, s), r)
+        return (terms * profiles) @ np.asarray(poly.coeffs)
 
     def values(x):
         r = norm(x)

@@ -61,7 +61,10 @@ class RadialProfile:
     ----------
     stack : callable
         ``stack(r, order) -> ndarray`` of shape ``(order + 1,) + r.shape``
-        holding ``g(r), g'(r), ..., g^(order)(r)``.
+        holding ``g(r), g'(r), ..., g^(order)(r)``.  An entry depends on
+        its own radius only, bit for bit, wherever that radius sits in
+        ``r``, as for every catalog piece: fields evaluate a profile once
+        per run of equal radii and repeat the values.
     support : tuple or None
         ``(r_lo, r_hi)`` outside of which the profile vanishes identically,
         or ``None`` if no such annulus is declared.
@@ -209,6 +212,8 @@ def _leibniz(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     order = a.shape[0] - 1
+    if order == 0:
+        return a[0] * b
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     np.multiply(a[0], b, out=out)
     for i in range(1, order + 1):
@@ -305,6 +310,12 @@ def log_gaussian_profile(amp, center, width):
 
     def stack(r, order):
         r = np.asarray(r, dtype=float)
+        if order == 0:  # the entry below, one array worked in place
+            w = np.log(r[None])
+            w -= center
+            w *= w
+            w *= -0.5 / width**2
+            return amp * np.exp(w, out=w)
         v = np.zeros((order + 1,) + r.shape)
         v[0] = np.log(r) - center
         fact = 1.0
@@ -331,6 +342,13 @@ def _neg_reciprocal_stack(t, order):
 def _step_band(t, order):
     """Stack of ``s(t) = a(t)/(a(t)+a(1-t))`` at points ``pad < t < 1 - pad``."""
     n = t.size
+    if order == 0:  # the entry below, one array worked in place
+        a = np.divide(-1.0, np.concatenate((t, 1.0 - t)))
+        np.exp(a, out=a)
+        s, d = a[:n], a[n:]
+        d += s
+        s /= d
+        return s[None]
     # t and 1 - t in one array, freed once its reciprocal stack is taken
     h = _exp_stack(_neg_reciprocal_stack(np.concatenate((t, 1.0 - t)), order))
     s, d = h[:, :n], h[:, n:]
@@ -419,21 +437,26 @@ def annulus_cutoff(lo, lo_top, hi_bottom, hi):
         t = x - lo
         t *= rise
         one = t >= 1.0 - _STEP_PAD
-        up = np.flatnonzero((t > _STEP_PAD) & ~one)
+        up = ((t > _STEP_PAD) & ~one).nonzero()[0]
         t_up = t[up]
         np.subtract(hi, x, out=t)
         t *= fall
         flat = t >= 1.0 - _STEP_PAD
-        down = np.flatnonzero((t > _STEP_PAD) & ~flat)
+        down = ((t > _STEP_PAD) & ~flat).nonzero()[0]
         one &= flat
         t_band = np.concatenate((t_up, t[down]))
         del t, flat, t_up
+        band = np.concatenate((up, down))
         s = _step_band(t_band, order)
+        if order == 0:  # the plateau as floats, the band points by one scatter
+            out = one.astype(float)
+            out[band] = s[0]
+            return out.reshape((1,) + r.shape)
         n = up.size
         for k in range(1, order + 1):
             s[k, :n] *= rise**k
             s[k, n:] *= (-fall) ** k
-        return _assemble(one, np.concatenate((up, down)), s, r.shape)
+        return _assemble(one, band, s, r.shape)
 
     def stack(r, order):
         if not is_radial_node_set(r):

@@ -47,7 +47,7 @@ import hashlib
 import itertools
 import json
 import math
-import operator
+import numbers
 import weakref
 from dataclasses import dataclass, fields
 
@@ -86,10 +86,10 @@ class QuadratureConfig:
 
     def __post_init__(self):
         for f in fields(self):  # every knob is a count; numpy integers become ints
-            try:
-                object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
-            except TypeError:
-                raise InvalidParameterError(f"{f.name} must be an integer") from None
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise InvalidParameterError(f"{f.name} must be an integer, not {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if self.radial_order < 2 or self.box_points < 2:
             raise InvalidParameterError("quadrature orders must be >= 2")
         if self.radial_panels < 1:

@@ -718,6 +718,34 @@ def test_norm_memo_keeps_apart_what_changes_the_integral(case):
     assert [weighted_lp_norm(*setting) for setting in _memo_settings(case, prof)] == got
 
 
+@pytest.mark.parametrize("name", ["r:3", "heis1"])
+def test_a_quasi_radial_grid_has_one_key_in_either_encoding(name, monkeypatch):
+    """``R^k f`` and a field on ``g^(k)`` are one grid: one integral, equal
+    norms.  A product field on ``g^(k)`` is not ``R^k`` of one on ``g``."""
+    group = parse_group(name)
+    norm = default_norm(group)
+    integrals = []
+    polar = calculus._polar_integral
+
+    def counting_polar(*args):
+        integrals.append(args)
+        return polar(*args)
+
+    monkeypatch.setattr(calculus, "_polar_integral", counting_polar)
+    for radial_fraction, count in ((1.0, 1), (0.0, 2)):
+        f = _corpus_field(group, norm, radial_fraction)
+        for k in (1, 2):
+            clear_caches()
+            integrals.clear()
+            derived = nth_radial_derivative(group, norm, f, k)
+            hand = f.profile.derivative(k)
+            hand = (radial_field(hand, norm, support=f.support) if f.poly is None
+                    else product_field(hand, f.poly, norm, support=f.support))
+            norms = [weighted_lp_norm(group, norm, g, 0.5, 1.5) for g in (derived, hand)]
+            assert len(integrals) == count, (f.structure, k)
+            assert (norms[0] == norms[1]) == (count == 1), (f.structure, k)
+
+
 @pytest.mark.parametrize("radial_fraction", [1.0, 0.0])
 def test_one_fields_grid_measures_each_norm_once(heis, radial_fraction, monkeypatch):
     group, norm = heis

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hgineq import CorpusSpec, InvalidParameterError, default_norm, make_corpus, parse_group
+from hgineq import (CorpusSpec, InvalidParameterError, QuadratureConfig, default_norm, make_corpus,
+                    parse_group)
 
 
 def test_corpus_is_deterministic(heis):
@@ -91,6 +92,20 @@ def test_corpus_spec_validation():
 def test_corpus_spec_refuses_non_integer_counts_and_an_unbounded_annulus(bad):
     with pytest.raises(InvalidParameterError):
         CorpusSpec(**bad)
+
+
+@pytest.mark.parametrize("make, name, ok", [
+    (QuadratureConfig, "radial_order", np.int64(2)),
+    (QuadratureConfig, "radial_panels", np.int32(1)),
+    (QuadratureConfig, "box_points", np.int64(2)),
+    (CorpusSpec, "radial_fraction", np.int64(1))])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_configs_refuse_a_bool_naming_the_field(make, name, ok, value):
+    """A bool is an int to Python: before, ``radial_panels=True`` gave one
+    panel and ``radial_fraction=True`` was kept as ``True``."""
+    with pytest.raises(InvalidParameterError, match=name):
+        make(**{name: value})
+    assert getattr(make(**{name: ok}), name) == ok  # numpy integers stay accepted
 
 
 def test_corpus_seed_changes_fields(r3):

@@ -21,8 +21,10 @@ from hgineq import (
     radial_field,
     weighted_lp_norm,
 )
+from hgineq.calculus import _row_blocks
 from hgineq.fields import _profile_dtype, orbit_profiles
-from hgineq.quadrature import sphere_rule
+from hgineq.profiles import RadialProfile
+from hgineq.quadrature import DEFAULT_CONFIG, polar_radial_pair, sphere_rule
 
 
 @pytest.fixture
@@ -275,8 +277,12 @@ def _blocks(group, norm, support):
     special[3] = np.nan
     special[7] = 0.0
     rng = np.random.default_rng(7)
+    row = len(nodes)
     return {
         "inside": inside,
+        "runs across a row's end": inside[row - 3:row + 14],
+        "runs of two": np.repeat(inside[::5][:30], 2, axis=0),
+        "no repeated radius": inside[::row],
         "straddles r0": on_orbits(np.linspace(0.5 * r0, 2.0 * r0, 9)),
         "straddles r1": on_orbits(np.linspace(0.5 * r1, 2.0 * r1, 9)),
         "outside": on_orbits(np.linspace(1.1 * r1, 3.0 * r1, 5)),
@@ -361,3 +367,92 @@ def test_monomials_match_the_masked_oracle(name):
     x[6] = np.inf
     for pts in (x, x[0], x[:0], x.reshape(20, 25, n), np.asfortranarray(x)):
         assert_same(q.monomials(pts), _ref_monomials(q, pts))
+
+
+# -- one profile evaluation per run of equal radii ------------------------------
+
+
+def _orbit_block(group, norm, support):
+    """The first block ``_on_orbits`` passes to an opaque field on the
+    default polar grid: whole rows of radii times the sphere nodes."""
+    cfg = DEFAULT_CONFIG
+    nodes, _ = sphere_rule(norm, cfg.sphere_order)
+    r = polar_radial_pair(*support, cfg.radial_order, cfg.radial_panels)[1][0]
+    rows = _row_blocks(len(r), len(nodes))[0]
+    w = group.weight_array()
+    return (r[rows, None, None] ** w * nodes).reshape(-1, group.dim)
+
+
+def _profile_fields(group, norm):
+    """A quasi-radial and a product field with complex amplitudes, each at
+    orders 0 to 3."""
+    spec = dict(count=1, seed=4, annulus=(0.3, 3.0))
+    bases = [make_corpus(group, norm, CorpusSpec(radial_fraction=fraction, **spec))[0]
+             for fraction in (1.0, 0.0)]
+    assert [f.structure for f in bases] == ["radial", "product"]
+    assert all(_dtype(f).kind == "c" for f in bases)
+    return [nth_radial_derivative(group, norm, f, k) for f in bases for k in range(4)]
+
+
+def _per_point_values(f, x):
+    """``f.values(x)`` on a block inside the support, with every radial
+    factor evaluated at one radius at a time and the polynomial on the
+    whole block (a BLAS product's rounding depends on its row count)."""
+    prof, poly, k, r = f.profile, f.poly, f.order, f.norm(x)
+
+    def each(fn):
+        return np.concatenate([fn(r[i:i + 1]) for i in range(len(r))])
+
+    if poly is None:
+        return each(lambda s: prof.derivatives(s, k)[k]).astype(complex)
+    if k == 0:
+        return each(prof) * poly(x)
+    degs = poly.weighted_degrees(f.norm.group.weights)
+    terms = poly.monomials(x) * each(lambda s: s[:, None] ** -degs)
+    return (terms * each(lambda s: orbit_profiles(prof, degs, k, s))) @ np.asarray(poly.coeffs)
+
+
+@pytest.mark.parametrize("name", ["r:3", "heis1", "aniso:1,2"])
+def test_values_on_orbit_blocks_equal_a_per_point_evaluation(name):
+    """Runs of equal radii falling anywhere in a vector, and a block with
+    no repeated radius, give the bits of one radius at a time."""
+    group = parse_group(name)
+    norm = default_norm(group)
+    x = _orbit_block(group, norm, (0.3, 3.0))
+    row = len(sphere_rule(norm, DEFAULT_CONFIG.sphere_order)[0])
+    r = norm(x)
+    assert np.count_nonzero(r[1:] != r[:-1]) < len(r) / 2  # the block holds runs
+    starts = (0, row - 9, 2 * row - 1)
+    blocks = [x[s:s + n] for s in starts for n in range(1, 18)] + [x[:2 * row + 5], x[::row]]
+    assert len(np.unique(norm(blocks[-1]))) == len(blocks[-1])
+    for f in _profile_fields(group, norm):
+        for block in blocks:
+            assert_same(f.values(block), _per_point_values(f, block), (f.field_id, len(block)))
+
+
+@pytest.mark.parametrize("name", ["r:3", "heis1"])
+def test_a_profile_is_evaluated_once_per_run_of_equal_radii(name, monkeypatch):
+    """The profile sees at most 40% of an opaque field's orbit block."""
+    group = parse_group(name)
+    norm = default_norm(group)
+    x = _orbit_block(group, norm, (0.2, 5.0))
+    assert len(x) == 16128
+    seen, depth = [], [0]
+    derivatives = RadialProfile.derivatives
+
+    def counting(self, r, order):
+        if not depth[0]:
+            seen.append(np.size(r))
+        depth[0] += 1
+        try:
+            return derivatives(self, r, order)
+        finally:
+            depth[0] -= 1
+
+    spec = CorpusSpec(count=2, seed=1, radial_fraction=0.5)
+    fields = make_corpus(group, norm, spec)
+    monkeypatch.setattr(RadialProfile, "derivatives", counting)
+    for f in fields:
+        seen.clear()
+        f.values(x)
+        assert 0 < sum(seen) <= 0.4 * len(x), f.field_id

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -254,6 +254,14 @@ def _cutoff_reference(lo, lo_top, hi_bottom, hi, r, order):
                               _step_reference(hi_bottom, hi, False, r, order))
 
 
+def _log_gaussian_reference(amp, center, width, r, order):
+    v = np.zeros((order + 1,) + r.shape)
+    v[0] = np.log(r) - center
+    for k in range(1, order + 1):
+        v[k] = ((-1.0) ** (k - 1)) * factorial(k - 1) * r ** (-float(k))
+    return amp * _exp_stack_reference(_leibniz_reference(v, v) * (-0.5 / width**2))
+
+
 ORDERS = range(7)
 PAD = P._STEP_PAD
 # lo_top - lo is exactly 1, and lo + PAD and lo + (1 - PAD) are exact doubles,
@@ -359,6 +367,40 @@ def test_a_scalar_radius_gives_the_stack_of_a_one_point_array(prof):
         assert stack.shape == (4,)
         assert np.array_equal(stack, prof.derivatives(np.array([x]), 3)[:, 0])
         assert prof(x) == stack[0]
+
+
+ORDER_0_BANDS = (0.5, 1.0, 4.0, 8.0)
+#: radii for the order-0 passes: a scalar, one point, no band point (the
+#: plateau and outside), every point in a band, and both bands at once
+ORDER_0_RADII = {
+    "scalar": np.array(0.7), "one point": np.array([6.0]),
+    "no band point": np.array([0.3, 1.0, 2.0, 4.0, 9.0, 0.5]),
+    "all in a band": np.linspace(0.55, 0.95, 13),
+    "both bands": np.concatenate((np.linspace(0.6, 0.9, 5), np.linspace(4.5, 7.5, 6))),
+}
+
+
+@pytest.mark.parametrize("label", ORDER_0_RADII)
+def test_order_0_passes_match_the_references(label):
+    r = ORDER_0_RADII[label]
+    bands = ORDER_0_BANDS
+    r1 = np.atleast_1d(r)  # the references take arrays; a scalar's stack is a point's
+    for order in (0, 1, 2):
+        want = _cutoff_reference(*bands, r1, order).reshape((order + 1,) + r.shape)
+        assert np.array_equal(annulus_cutoff(*bands).derivatives(r, order), want), order
+        for amp in (0.8, 0.6 - 0.4j):
+            got = log_gaussian_profile(amp, 0.2, 0.4).derivatives(r, order)
+            want = _log_gaussian_reference(amp, 0.2, 0.4, r1, order).reshape(
+                (order + 1,) + r.shape)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), (amp, order)
+    rng = np.random.default_rng(3)
+    for ca, cb in ((False, False), (True, False), (False, True)):
+        a = _random_stack(rng, 0, r.shape, ca)
+        b = _random_stack(rng, 0, r.shape, cb)
+        got, want = P._leibniz(a, b), _leibniz_reference(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # -- shared cutoff stacks ---------------------------------------------------------
