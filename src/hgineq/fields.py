@@ -173,12 +173,10 @@ def _per_radius(fn, r):
     on ``r[i]`` alone: ``fn`` is called at the first radius of each run of
     equal consecutive radii and its rows repeated along the runs, which
     gives the bits of one plain call.  Orbit blocks of the polar grid hold
-    runs (``N(D_t w) == t`` at most nodes of a row); where runs are more
-    than half the radii, ``fn`` takes them all."""
-    starts = np.flatnonzero(r[1:] != r[:-1]) + 1
-    if 2 * (starts.size + 1) > r.size:
+    runs (``N(D_t w) == t`` at most nodes of a row)."""
+    if not r.size:
         return fn(r)
-    starts = np.concatenate(([0], starts))
+    starts = np.concatenate(([0], np.flatnonzero(r[1:] != r[:-1]) + 1))
     return np.repeat(fn(r[starts]), np.diff(starts, append=r.size), axis=0)
 
 

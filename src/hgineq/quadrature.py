@@ -47,7 +47,7 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
+import operator
 import weakref
 from dataclasses import dataclass, fields
 
@@ -87,9 +87,12 @@ class QuadratureConfig:
     def __post_init__(self):
         for f in fields(self):  # every knob is a count; numpy integers become ints
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if isinstance(value, bool):
                 raise InvalidParameterError(f"{f.name} must be an integer, not {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            try:
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise InvalidParameterError(f"{f.name} must be an integer, not {value!r}") from None
         if self.radial_order < 2 or self.box_points < 2:
             raise InvalidParameterError("quadrature orders must be >= 2")
         if self.radial_panels < 1:
